@@ -6,7 +6,7 @@
 //! ```
 //!
 //! **Phase A** measures the one claim the batched oracle path makes, in a
-//! unit wall-clock cannot fake on a shared 1-CPU host: answering a batch
+//! unit wall-clock cannot fake on a small shared host: answering a batch
 //! of `(source, target)` distance queries through `dist_batch` (group by
 //! source, load `L_out` once into the rank-indexed table, probe each
 //! `L_in` with a `max_rank` cutoff) must scan **≥2× fewer label entries**

@@ -11,12 +11,15 @@
 //!   workers (questions themselves run sequentially, so all speedup is
 //!   intra-query);
 //! * `pll_build` — rank-windowed parallel PLL construction on a synthetic
-//!   graph.
+//!   graph, beside one sequential (window-1) build of the same graph and
+//!   the label-entry count of each, so the extra entries the windowed
+//!   build keeps (intra-window landmarks cannot prune each other) are
+//!   recorded next to the time it saves.
 //!
 //! Both paths are answer-invariant in the thread count; the harness
 //! asserts that (fingerprinting reports / serialized labels) and records
 //! the verdict in the JSON, alongside the host's available parallelism —
-//! on a single-core container every speedup is necessarily ~1.0x.
+//! on a single-core host every speedup is necessarily ~1.0x.
 
 use std::time::Instant;
 use wqe_bench::runner::{run_algo_concurrent, AlgoSpec, QuestionKind, Workload};
@@ -40,10 +43,20 @@ struct PathResult {
     samples: Vec<Sample>,
 }
 
+/// Sequential vs rank-windowed PLL construction on the `pll_build` graph.
+#[derive(serde::Serialize)]
+struct PllLabels {
+    nodes: usize,
+    sequential_build_ms: f64,
+    sequential_label_entries: usize,
+    windowed_label_entries: usize,
+}
+
 #[derive(serde::Serialize)]
 struct BenchParallel {
     host_available_parallelism: usize,
     results: Vec<PathResult>,
+    pll_labels: PllLabels,
 }
 
 fn fingerprint(reports: &[AnswerReport]) -> String {
@@ -158,14 +171,24 @@ fn main() {
         ..Default::default()
     });
     let mut pll_samples = Vec::new();
+    let mut windowed_label_entries = 0;
     for &threads in &THREADS {
         let t0 = Instant::now();
         let index = PllIndex::build_with(&g, threads);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         eprintln!("pll_build   threads={threads}: {ms:.1} ms");
+        windowed_label_entries = index.label_entries();
         let labels = serde_json::to_string(&index).unwrap_or_default();
         pll_samples.push((threads, ms, labels));
     }
+    let t0 = Instant::now();
+    let sequential = PllIndex::build(&g);
+    let sequential_build_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let sequential_label_entries = sequential.label_entries();
+    eprintln!(
+        "pll_build   sequential: {sequential_build_ms:.1} ms, \
+         {sequential_label_entries} entries (windowed: {windowed_label_entries})"
+    );
 
     let report = BenchParallel {
         host_available_parallelism: host,
@@ -173,6 +196,12 @@ fn main() {
             finish("answ_batch", answ_samples),
             finish("pll_build", pll_samples),
         ],
+        pll_labels: PllLabels {
+            nodes: g.node_count(),
+            sequential_build_ms,
+            sequential_label_entries,
+            windowed_label_entries,
+        },
     };
     for r in &report.results {
         assert!(

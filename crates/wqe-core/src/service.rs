@@ -56,6 +56,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::time::{Duration, Instant};
 use wqe_graph::DeltaSummary;
+use wqe_pool::fault::{self, FaultPlan, FaultSite};
 use wqe_pool::serve::{JobQueue, PushError};
 
 pub use wqe_pool::serve::Priority;
@@ -631,7 +632,7 @@ impl AnswerCache {
         // Fault site `answer_cache`: a fired fault forces a miss, sending
         // the request through the full engine path. Safe by construction —
         // a recomputed report is bit-identical to the cached one.
-        if wqe_pool::fault::fire(wqe_pool::fault::FaultSite::AnswerCache).is_some() {
+        if fault::fire(FaultSite::AnswerCache).is_some() {
             return (None, 0);
         }
         let mut shard = self.shard(key);
@@ -844,6 +845,10 @@ struct Job {
     enqueued: Instant,
     reply: ReplyTo,
     cancel: Arc<CancelHandle>,
+    /// The submitting thread's fault plan, entered on the worker while the
+    /// job runs, so injected faults reach exactly the requests submitted
+    /// under that plan.
+    faults: Option<Arc<FaultPlan>>,
 }
 
 struct TokenBucket {
@@ -1281,6 +1286,7 @@ impl QueryService {
             enqueued: Instant::now(),
             reply: reply.clone(),
             cancel,
+            faults: fault::current(),
         };
         match self.inner.queue.push(request.priority, job) {
             Ok(_) => {
@@ -1384,6 +1390,7 @@ fn process(inner: &Inner, job: Job) {
     // Service-layer events (cache-probe faults, retries) land in the
     // service profiler; per-query scopes nest inside and shadow it.
     let _obs = wqe_pool::obs::enter(Arc::clone(&inner.profiler));
+    let _faults = job.faults.clone().map(fault::enter);
 
     // A job whose deadline budget fully elapsed while it was queued is
     // already dead to its caller: the governor's clock starts *now*, so

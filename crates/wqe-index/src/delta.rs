@@ -21,7 +21,7 @@
 //! they only trade construction time against per-query time.
 
 use crate::bfs::BoundedBfsOracle;
-use crate::kernel;
+use crate::kernel::BatchScratch;
 use crate::oracle::DistanceOracle;
 use crate::pll::{PllIndex, PllParts};
 use std::collections::VecDeque;
@@ -70,18 +70,6 @@ impl RepairLabels {
             in_dists,
             node_of_rank,
         }
-    }
-
-    /// `min(dist(u, hub) + dist(hub, v))` over the current labels.
-    #[inline]
-    fn query(&self, u: usize, v: usize) -> u32 {
-        kernel::merge_join(
-            &self.out_ranks[u],
-            &self.out_dists[u],
-            &self.in_ranks[v],
-            &self.in_dists[v],
-        )
-        .0
     }
 
     /// Inserts or min-updates entry `(rank, d)` in a label, keeping the
@@ -153,12 +141,19 @@ pub fn repair_insertions(
     let n = graph.node_count();
     let mut visited = vec![false; n];
     let mut queue: VecDeque<(u32, u32)> = VecDeque::new();
+    let mut root = BatchScratch::new();
 
     // One resumed pruned BFS: hub `wr` continues from `start` at depth
     // `d0`, patching the forward (`L_in`) or backward (`L_out`) labels.
+    // A forward resume only writes `L_in` labels and a backward one only
+    // `L_out`, so the hub's own side (`L_out(w)` forward, `L_in(w)`
+    // backward) is fixed for the whole resume: it is loaded into the
+    // `root` rank table once and each visit probes against it, certifying
+    // exactly the minimum a merge-join would.
     let resume = |labels: &mut RepairLabels,
                   visited: &mut [bool],
                   queue: &mut VecDeque<(u32, u32)>,
+                  root: &mut BatchScratch,
                   visits: &mut u64,
                   wr: u32,
                   start: u32,
@@ -166,6 +161,11 @@ pub fn repair_insertions(
                   forward: bool|
      -> bool {
         let wnode = labels.node_of_rank[wr as usize] as usize;
+        if forward {
+            root.load_source(&labels.out_ranks[wnode], &labels.out_dists[wnode]);
+        } else {
+            root.load_source(&labels.in_ranks[wnode], &labels.in_dists[wnode]);
+        }
         queue.clear();
         queue.push_back((start, d0));
         visited[start as usize] = true;
@@ -177,10 +177,10 @@ pub fn repair_insertions(
                 ok = false;
                 break;
             }
-            let certified = if forward {
-                labels.query(wnode, x as usize)
+            let (certified, _) = if forward {
+                root.probe(&labels.in_ranks[x as usize], &labels.in_dists[x as usize])
             } else {
-                labels.query(x as usize, wnode)
+                root.probe(&labels.out_ranks[x as usize], &labels.out_dists[x as usize])
             };
             if certified <= d {
                 continue;
@@ -231,6 +231,7 @@ pub fn repair_insertions(
                 &mut labels,
                 &mut visited,
                 &mut queue,
+                &mut root,
                 &mut visits,
                 wr,
                 b.0,
@@ -251,6 +252,7 @@ pub fn repair_insertions(
                 &mut labels,
                 &mut visited,
                 &mut queue,
+                &mut root,
                 &mut visits,
                 wr,
                 a.0,

@@ -11,8 +11,8 @@
 //! bit-identical to the inner oracle's, so a fault-exhausted `FaultOracle`
 //! behaves exactly like the oracle it wraps.
 //!
-//! [`ResilientOracle`] is the *recovery* side: it consults the global
-//! [`wqe_pool::fault::FaultPlan`] (the `oracle` site) and runs the
+//! [`ResilientOracle`] is the *recovery* side: it consults the calling
+//! thread's [`wqe_pool::fault::FaultPlan`] (the `oracle` site) and runs the
 //! degradation ladder — bounded retry with backoff, then a sticky
 //! per-oracle circuit breaker that pins an exact fallback oracle.
 
@@ -153,7 +153,7 @@ impl DistanceOracle for FaultOracle {
 /// (with backoff) → exact fallback, with a sticky circuit breaker that
 /// pins the fallback once faults repeat.
 ///
-/// The wrapper consults the process-global
+/// The wrapper consults the calling thread's
 /// [`FaultPlan`](wqe_pool::fault::FaultPlan) at the
 /// [`FaultSite::Oracle`] site: a fired fault makes the primary call
 /// "fail" (and, while a plan is active, a *real* panic inside the primary
@@ -171,8 +171,8 @@ impl DistanceOracle for FaultOracle {
 /// behind a PLL index — both exact). Degradation then changes latency,
 /// never answers.
 ///
-/// With no plan installed and the breaker closed, a call is two relaxed
-/// atomic loads plus the primary call — bit-identical answers, measured
+/// With no plan in scope and the breaker closed, a call is a relaxed
+/// atomic load and a thread-local load plus the primary call — bit-identical answers, measured
 /// against the <3% overhead gate by `bench_faults`.
 pub struct ResilientOracle {
     primary: Arc<dyn DistanceOracle>,
@@ -226,7 +226,7 @@ impl ResilientOracle {
             return op(&*self.fallback);
         }
         if !fault::active() {
-            // Production path: one relaxed load above, straight through.
+            // Production path: no plan in scope, straight through.
             return op(&*self.primary);
         }
         let mut attempt: u32 = 0;
@@ -378,7 +378,7 @@ mod tests {
                 .with_budget(FaultSite::Oracle, 1),
         );
         let r = resilient_line(6);
-        let _g = wqe_pool::fault::with_plan(Arc::clone(&plan));
+        let _g = wqe_pool::fault::enter(Arc::clone(&plan));
         assert_eq!(r.distance_within(NodeId(0), NodeId(4), 9), Some(4));
         assert_eq!(plan.fired(FaultSite::Oracle), 1);
         assert!(!r.fallback_pinned());
@@ -393,7 +393,7 @@ mod tests {
         let plain = line_oracle(6);
         let r = resilient_line(6).with_breaker_threshold(2);
         {
-            let _g = wqe_pool::fault::with_plan(Arc::clone(&plan));
+            let _g = wqe_pool::fault::enter(Arc::clone(&plan));
             for _ in 0..3 {
                 assert_eq!(
                     r.distance_within(NodeId(0), NodeId(5), 9),
@@ -418,7 +418,7 @@ mod tests {
         let r = ResilientOracle::new(panicky, line_oracle(5))
             .with_backoff(Duration::ZERO)
             .with_retries(0);
-        let _g = wqe_pool::fault::with_plan(plan);
+        let _g = wqe_pool::fault::enter(plan);
         assert_eq!(r.distance_within(NodeId(0), NodeId(3), 9), Some(3));
     }
 
@@ -427,7 +427,7 @@ mod tests {
         let plan = Arc::new(wqe_pool::fault::FaultPlan::new(5).arm(FaultSite::Oracle, 1));
         let r = resilient_line(4).with_retries(1).with_breaker_threshold(1);
         let profiler = Arc::new(obs::Profiler::new());
-        let _g = wqe_pool::fault::with_plan(plan);
+        let _g = wqe_pool::fault::enter(plan);
         {
             let _scope = obs::enter(Arc::clone(&profiler));
             assert_eq!(r.distance_within(NodeId(0), NodeId(2), 9), Some(2));

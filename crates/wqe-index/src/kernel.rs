@@ -3,7 +3,9 @@
 //! Every 2-hop distance query is a merge-join of two rank-sorted label
 //! arrays. This module holds the portable scalar reference kernel, an AVX2
 //! variant, and the amortized batch path (a rank-indexed source table plus
-//! a rank cutoff) that `dist_batch` uses when many targets share a source.
+//! a rank cutoff) that `dist_batch` uses when many targets share a source,
+//! and that PLL construction and repair use as their pruning test (the
+//! BFS root's label is the source, every visited vertex a target).
 //!
 //! ## Dispatch
 //!
@@ -28,7 +30,7 @@
 //! "Entries scanned" is the machine-independent cost of a query: the sum
 //! of the final merge cursors (`i + j` at loop exit) for merge-joins, and
 //! table loads plus probed entries for the batch path. Wall-clock on a
-//! shared 1-CPU benchmark host says nothing about the algorithm; entry
+//! small shared benchmark host says little about the algorithm; entry
 //! scans do.
 
 use std::sync::OnceLock;

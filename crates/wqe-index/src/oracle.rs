@@ -74,10 +74,12 @@ pub const PLL_NODE_LIMIT: usize = 50_000;
 /// Chooses an index implementation appropriate for the graph size.
 ///
 /// Pruned landmark labeling answers in microseconds but costs superlinear
-/// build time; a memoized bounded BFS costs nothing up front. The crossover
-/// used here (50k nodes) keeps index construction under a second on the
-/// synthetic datasets while the big graphs fall back to BFS, mirroring how
-/// the paper treats the index as a pluggable black box.
+/// build time; a memoized bounded BFS costs nothing up front. Graphs above
+/// the crossover (50k nodes) fall back to BFS, mirroring how the paper
+/// treats the index as a pluggable black box. Below it, construction is far
+/// from free: `build_with` on `dbpedia_like(·, 7)` on a 2-CPU host takes
+/// about 0.4 s for 1.0M label entries at 4k nodes, 3.7 s for 4.6M at 10k,
+/// and 18 s for 15.6M at 20k.
 pub enum HybridOracle {
     /// Full pruned-landmark-labeling index.
     Pll(crate::pll::PllIndex),

@@ -13,7 +13,13 @@
 //!   hub on paths *into* that vertex);
 //! * a backward pruned BFS adds `(w, d)` to the **out** label;
 //! * a BFS visit to `x` at distance `d` is pruned when the already-built
-//!   labels certify `dist(w, x) <= d`.
+//!   labels certify `dist(w, x) <= d`. The root's side of that test —
+//!   `L_out(w)` forward, `L_in(w)` backward — is loaded once per BFS into
+//!   a rank-indexed [`BatchScratch`] table, and each visit only probes
+//!   `x`'s label against it (Akiba et al. §4.3) instead of merge-joining
+//!   both labels. The probe certifies the same minimum over shared hubs,
+//!   so the label set is exactly the one a merge-join build produces;
+//!   incremental repair ([`crate::repair_insertions`]) prunes the same way.
 //!
 //! `dist(u, v)` is answered by a sorted merge of `L_out(u)` and `L_in(v)`.
 //!
@@ -46,8 +52,12 @@
 //! alone: thread count changes wall-clock, never the index.
 //! [`PllIndex::build`] is the window-size-1 special case (classic maximally
 //! pruned sequential PLL). Each worker reuses a bitset-visited BFS scratch
-//! across landmarks, so a build allocates O(n) once per worker instead of
-//! once per landmark.
+//! and a root table across landmarks, so a build allocates O(n) once per
+//! worker instead of once per landmark. On `dbpedia_like(0.1, 7)` (4,000
+//! nodes, 2-CPU host) the windowed build keeps 997,481 entries against the
+//! sequential build's 873,923 (+14%) and finishes in about 0.4 s against
+//! 0.5 s (`results/BENCH_parallel.json` records the same trade on its own
+//! graph).
 
 use crate::kernel::{self, BatchScratch, MIN_GROUP};
 use crate::oracle::DistanceOracle;
@@ -381,8 +391,8 @@ impl BfsScratch {
 
 /// Build-time label store: per-node rank/distance vectors per direction,
 /// flattened into [`PllParts`] once construction finishes. Kept split so
-/// the certification merge-joins during the build run through the same
-/// [`kernel`] as serving queries.
+/// the pruning probes during the build run through the same
+/// [`BatchScratch`] table as batched serving queries.
 struct BuildLabels {
     out_ranks: Vec<Vec<u32>>,
     out_dists: Vec<Vec<u32>>,
@@ -398,18 +408,6 @@ impl BuildLabels {
             in_ranks: vec![Vec::new(); n],
             in_dists: vec![Vec::new(); n],
         }
-    }
-
-    /// `min(dist(u, hub) + dist(hub, v))` over the committed labels.
-    #[inline]
-    fn query(&self, u: usize, v: usize) -> u32 {
-        kernel::merge_join(
-            &self.out_ranks[u],
-            &self.out_dists[u],
-            &self.in_ranks[v],
-            &self.in_dists[v],
-        )
-        .0
     }
 }
 
@@ -467,10 +465,10 @@ impl PllIndex {
             type LandmarkLabels = (Vec<(NodeId, u32)>, Vec<(NodeId, u32)>);
             let results: Vec<LandmarkLabels> = pool.map_init(
                 chunk,
-                || BfsScratch::new(n),
-                |scratch, _, &w| {
-                    let fwd = Self::pruned_bfs(graph, w, true, &labels, scratch);
-                    let bwd = Self::pruned_bfs(graph, w, false, &labels, scratch);
+                || (BfsScratch::new(n), BatchScratch::new()),
+                |(bfs, root), _, &w| {
+                    let fwd = Self::pruned_bfs(graph, w, true, &labels, bfs, root);
+                    let bwd = Self::pruned_bfs(graph, w, false, &labels, bfs, root);
                     (fwd, bwd)
                 },
             );
@@ -526,13 +524,25 @@ impl PllIndex {
     /// only writes `in` labels, which forward certification reads for the
     /// vertex *before* its entry is added; the backward pass reads
     /// `out(u)`, which cannot yet contain `w`).
+    ///
+    /// The root's side of every certification (`L_out(w)` forward, `L_in(w)`
+    /// backward) is frozen for the whole BFS, so it is loaded into the
+    /// `root` rank table once and each visit only probes its own label
+    /// against it (see the module docs).
     fn pruned_bfs(
         graph: &Graph,
         w: NodeId,
         forward: bool,
         labels: &BuildLabels,
         scratch: &mut BfsScratch,
+        root: &mut BatchScratch,
     ) -> Vec<(NodeId, u32)> {
+        let wi = w.index();
+        if forward {
+            root.load_source(&labels.out_ranks[wi], &labels.out_dists[wi]);
+        } else {
+            root.load_source(&labels.in_ranks[wi], &labels.in_dists[wi]);
+        }
         scratch.queue.clear();
         scratch.queue.push(w);
         scratch.visit(w.index());
@@ -549,10 +559,10 @@ impl PllIndex {
             head += 1;
             // Prune if existing labels already certify dist(w,u) <= d
             // (forward: w -> u; backward: u -> w).
-            let certified = if forward {
-                labels.query(w.index(), u.index())
+            let (certified, _) = if forward {
+                root.probe(&labels.in_ranks[u.index()], &labels.in_dists[u.index()])
             } else {
-                labels.query(u.index(), w.index())
+                root.probe(&labels.out_ranks[u.index()], &labels.out_dists[u.index()])
             };
             if certified <= d {
                 continue;

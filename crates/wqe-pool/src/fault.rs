@@ -7,7 +7,19 @@
 //! [`profiler`](crate::obs), the plan lives in `wqe-pool` (the bottom of
 //! the crate graph) so every layer above — the snapshot store, the
 //! distance oracles, the matcher caches, the serving queue — can consult
-//! one global plan without a dependency cycle.
+//! it without a dependency cycle.
+//!
+//! ## Scoping
+//!
+//! A plan travels the way the governor and the profiler do: [`enter`]
+//! puts it in a thread-local scope, and the hand-off points carry it on.
+//! `WorkerPool` fan-outs enter the caller's plan on their workers,
+//! `QueryService` jobs enter the plan of the thread that submitted them,
+//! and the HTTP server enters the plan it was bound under (or was handed
+//! later) on its accept and connection threads. A plan therefore affects
+//! only the work it was entered for: two tests in one process, one
+//! injecting faults and one computing a fault-free baseline, never see
+//! each other's schedule.
 //!
 //! ## Determinism under parallelism
 //!
@@ -21,10 +33,10 @@
 //!
 //! ## Hot-path cost
 //!
-//! Injection sites call the free function [`fire`]. With no plan installed
-//! that is a single relaxed atomic load ([`active`]) — measured against
-//! the <3% overhead gate by `bench_faults`. With a plan installed but the
-//! site unarmed, it is the load plus an `RwLock` read acquisition.
+//! Injection sites call the free function [`fire`]. With no plan in scope
+//! that is one thread-local load plus an empty-stack branch — measured
+//! against the <3% overhead gate by `bench_faults`. With a plan in scope
+//! but the site unarmed, it is the same load plus one array lookup.
 //!
 //! ## Never-wrong contract
 //!
@@ -36,8 +48,9 @@
 //! *values* in flight.
 
 use crate::obs;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::Arc;
 
 /// Where a fault can be injected. Each site has its own call counter,
 /// period, and budget inside a [`FaultPlan`].
@@ -145,8 +158,7 @@ struct SiteState {
 ///
 /// Build one with [`FaultPlan::new`] + [`arm`](FaultPlan::arm) (or
 /// [`all_sites`](FaultPlan::all_sites) / [`from_env`](FaultPlan::from_env))
-/// and install it globally with [`install`] or the test-friendly
-/// [`with_plan`].
+/// and put it in scope with [`enter`].
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
@@ -197,7 +209,7 @@ impl FaultPlan {
     /// returns `None` when absent or unparsable) selects the schedule,
     /// `WQE_FAULT_PERIOD` (default 16) the firing rate, and
     /// `WQE_FAULT_SITES` (comma-separated [`FaultSite`] names, default
-    /// all) the armed sites. The CLI installs this at startup, which is
+    /// all) the armed sites. The CLI enters this at startup, which is
     /// the chaos quick-start path in the README.
     pub fn from_env() -> Option<FaultPlan> {
         let seed: u64 = std::env::var("WQE_FAULT_SEED").ok()?.trim().parse().ok()?;
@@ -275,75 +287,55 @@ impl FaultPlan {
     }
 }
 
-/// One relaxed load on every [`fire`] call while no plan is installed —
-/// the entire no-fault cost of the injection hooks.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static PLAN: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
-/// Serializes tests that install global plans (see [`with_plan`]).
-static EXCLUSIVE: Mutex<()> = Mutex::new(());
-
-/// Whether a fault plan is currently installed. Injection sites that need
-/// to gate extra work (a `catch_unwind`, say) on fault mode use this.
-pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+thread_local! {
+    static CURRENT: RefCell<Vec<Arc<FaultPlan>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Installs `plan` as the process-global fault plan. Prefer [`with_plan`]
-/// in tests — it also serializes against other plan-installing tests.
-pub fn install(plan: Arc<FaultPlan>) {
-    let mut slot = PLAN.write().unwrap_or_else(PoisonError::into_inner);
-    *slot = Some(plan);
-    ACTIVE.store(true, Ordering::Relaxed);
+/// A scope guard returned by [`enter`]; dropping it pops the plan off the
+/// thread-local stack (panic-safe: unwinding drops it too).
+#[must_use = "the plan is in scope only while the guard lives"]
+pub struct FaultScope {
+    _private: (),
 }
 
-/// Removes the process-global fault plan, returning every [`fire`] site to
-/// its single-relaxed-load pass-through.
-pub fn uninstall() {
-    let mut slot = PLAN.write().unwrap_or_else(PoisonError::into_inner);
-    ACTIVE.store(false, Ordering::Relaxed);
-    *slot = None;
-}
-
-/// The currently installed plan, if any (for post-run assertions on
-/// [`FaultPlan::fired`] counts).
-pub fn current() -> Option<Arc<FaultPlan>> {
-    if !active() {
-        return None;
-    }
-    PLAN.read().unwrap_or_else(PoisonError::into_inner).clone()
-}
-
-/// Consults the global plan for one call at `site`; `None` (no fault) when
-/// no plan is installed or the site is unarmed. This is the function every
-/// injection site calls.
-pub fn fire(site: FaultSite) -> Option<u64> {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return None;
-    }
-    let guard = PLAN.read().unwrap_or_else(PoisonError::into_inner);
-    guard.as_ref().and_then(|p| p.fire(site))
-}
-
-/// RAII guard from [`with_plan`]: uninstalls the plan when dropped.
-#[must_use = "the plan is installed only while the guard lives"]
-pub struct PlanGuard {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for PlanGuard {
+impl Drop for FaultScope {
     fn drop(&mut self) {
-        uninstall();
+        CURRENT.with(|c| {
+            c.borrow_mut().pop();
+        });
     }
 }
 
-/// Installs `plan` for the lifetime of the returned guard, holding a
-/// global mutex so concurrently running tests that inject faults cannot
-/// interleave their plans (the chaos suite runs under both
-/// `RUST_TEST_THREADS=1` and default threading).
-pub fn with_plan(plan: Arc<FaultPlan>) -> PlanGuard {
-    let lock = EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner);
-    install(plan);
-    PlanGuard { _lock: lock }
+/// Puts `plan` in scope on the calling thread until the returned guard is
+/// dropped. Scopes nest; the innermost wins. Work the thread hands off
+/// carries the plan along: `WorkerPool` fan-outs enter it on their
+/// workers, and `QueryService` jobs enter the plan of the thread that
+/// submitted them. Other threads never see it, so concurrently running
+/// work (a fault-free baseline beside a chaos run, say) stays fault-free.
+pub fn enter(plan: Arc<FaultPlan>) -> FaultScope {
+    CURRENT.with(|c| c.borrow_mut().push(plan));
+    FaultScope { _private: () }
+}
+
+/// Whether a fault plan is in scope on the calling thread. Injection
+/// sites that need to gate extra work (a `catch_unwind`, say) on fault
+/// mode use this.
+pub fn active() -> bool {
+    CURRENT.with(|c| !c.borrow().is_empty())
+}
+
+/// The calling thread's innermost plan, if any — what hand-off points
+/// capture to carry the scope to another thread, and what post-run
+/// assertions read [`FaultPlan::fired`] counts from.
+pub fn current() -> Option<Arc<FaultPlan>> {
+    CURRENT.with(|c| c.borrow().last().cloned())
+}
+
+/// Consults the calling thread's plan for one call at `site`; `None` (no
+/// fault) when no plan is in scope or the site is unarmed. This is the
+/// function every injection site calls.
+pub fn fire(site: FaultSite) -> Option<u64> {
+    CURRENT.with(|c| c.borrow().last().and_then(|p| p.fire(site)))
 }
 
 /// A per-site circuit breaker: `threshold` *consecutive* failures trip it
@@ -498,25 +490,44 @@ mod tests {
     }
 
     #[test]
-    fn global_fire_is_inert_without_a_plan() {
-        let _lock = EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner);
-        uninstall();
+    fn fire_is_inert_without_a_plan() {
         assert!(!active());
         assert!(fire(FaultSite::Oracle).is_none());
         assert!(current().is_none());
     }
 
     #[test]
-    fn with_plan_installs_and_uninstalls() {
-        let plan = Arc::new(FaultPlan::new(1).arm(FaultSite::Queue, 1));
+    fn enter_scopes_the_plan_and_nests() {
+        let outer = Arc::new(FaultPlan::new(1).arm(FaultSite::Queue, 1));
+        let inner = Arc::new(FaultPlan::new(2).arm(FaultSite::Oracle, 1));
         {
-            let _guard = with_plan(Arc::clone(&plan));
+            let _outer = enter(Arc::clone(&outer));
             assert!(active());
             assert!(fire(FaultSite::Queue).is_some());
-            assert!(Arc::ptr_eq(&current().unwrap(), &plan));
+            {
+                let _inner = enter(Arc::clone(&inner));
+                assert!(Arc::ptr_eq(&current().unwrap(), &inner));
+                assert!(fire(FaultSite::Queue).is_none(), "innermost plan wins");
+                assert!(fire(FaultSite::Oracle).is_some());
+            }
+            assert!(Arc::ptr_eq(&current().unwrap(), &outer));
         }
         assert!(!active());
         assert!(fire(FaultSite::Queue).is_none());
+    }
+
+    #[test]
+    fn a_plan_never_reaches_other_threads() {
+        let plan = Arc::new(FaultPlan::new(4).arm(FaultSite::PoolWorker, 1));
+        let _scope = enter(Arc::clone(&plan));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!active());
+                assert!(fire(FaultSite::PoolWorker).is_none());
+            });
+        });
+        assert!(fire(FaultSite::PoolWorker).is_some());
+        assert_eq!(plan.calls(FaultSite::PoolWorker), 1);
     }
 
     #[test]

@@ -286,9 +286,12 @@ impl WorkerPool {
         // the calling thread currently has, so nested governed layers keep
         // working across the fan-out. The caller's profiler scope (if any)
         // travels the same way, so spans recorded inside workers land in
-        // the owning session's profile.
+        // the owning session's profile, and so does the caller's fault
+        // plan, so injected faults reach exactly the work they were
+        // entered for.
         let scope_gov: Option<Arc<Governor>> = gov.cloned().or_else(governor::current);
         let scope_obs: Option<Arc<obs::Profiler>> = obs::current();
+        let scope_fault: Option<Arc<fault::FaultPlan>> = fault::current();
         let cursor = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
         let first_panic: Mutex<Option<(usize, String)>> = Mutex::new(None);
@@ -305,9 +308,11 @@ impl WorkerPool {
                     let f = &f;
                     let scope_gov = scope_gov.clone();
                     let scope_obs = scope_obs.clone();
+                    let scope_fault = scope_fault.clone();
                     scope.spawn(move || {
                         let _scope = scope_gov.map(governor::enter);
                         let _obs = scope_obs.map(obs::enter);
+                        let _fault = scope_fault.map(fault::enter);
                         let mut state = init();
                         let mut out: Vec<(usize, R)> = Vec::new();
                         loop {
@@ -382,9 +387,9 @@ impl WorkerPool {
 }
 
 /// The pool-worker fault-injection site: panics inside the per-item
-/// `catch_unwind` when the installed [`fault::FaultPlan`] says so, so an
+/// `catch_unwind` when the [`fault::FaultPlan`] in scope says so, so an
 /// injected worker fault surfaces exactly like a real one — as a typed
-/// [`PoolError::Panicked`]. One relaxed load when no plan is installed.
+/// [`PoolError::Panicked`]. One thread-local load when no plan is in scope.
 fn fault_pool_item(i: usize) {
     if fault::fire(fault::FaultSite::PoolWorker).is_some() {
         panic!("injected pool-worker fault at item {i}");

@@ -152,8 +152,9 @@ impl<T> JobQueue<T> {
     /// Admits a job, or rejects it when the queue is full or closed.
     /// Returns the job's admission sequence number (global, monotonic).
     ///
-    /// This is also the queue's fault-injection site: an installed
-    /// [`FaultPlan`](crate::fault::FaultPlan) with the `queue` site armed
+    /// This is also the queue's fault-injection site: a
+    /// [`FaultPlan`](crate::fault::FaultPlan) in scope on the pushing
+    /// thread with the `queue` site armed
     /// makes the push spuriously reject as [`PushError::Full`] (reporting
     /// the observed depth) — the same typed admission-control outcome a
     /// genuinely saturated queue produces.

@@ -10,7 +10,10 @@
 //! connection is accepted (a fired fault drops it before any bytes are
 //! read) and once between SSE events (a fired fault severs the stream
 //! mid-exchange). Either way the handler sheds only its own connection;
-//! the accept loop and the service's workers never notice.
+//! the accept loop and the service's workers never notice. The server's
+//! plan is the one in scope on the thread that called
+//! [`HttpServer::bind`]; it is entered on the accept thread and on every
+//! connection thread, and from there rides each request into the service.
 
 use crate::{parse_request, response_json, update_json, ServeCtx};
 use serde_json::{json, Value};
@@ -21,7 +24,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 use wqe_core::{QueryStatus, ShedReason, StreamEvent};
-use wqe_pool::fault::{fire, FaultSite};
+use wqe_pool::fault::{self, fire, FaultPlan, FaultSite};
 
 /// Largest accepted request head (request line + headers).
 const MAX_HEAD: usize = 64 * 1024;
@@ -45,19 +48,21 @@ pub struct HttpServer {
 
 impl HttpServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts serving `ctx` on a background accept thread.
+    /// starts serving `ctx` on a background accept thread. The fault plan
+    /// in scope on the calling thread, if any, becomes the server's.
     pub fn bind(ctx: ServeCtx, addr: &str) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicUsize::new(0));
+        let faults = fault::current();
         let accept = {
             let stop = Arc::clone(&stop);
             let active = Arc::clone(&active);
             thread::Builder::new()
                 .name("wqe-serve-accept".into())
-                .spawn(move || accept_loop(listener, ctx, stop, active))?
+                .spawn(move || accept_loop(listener, ctx, stop, active, faults))?
         };
         Ok(Self {
             addr,
@@ -105,7 +110,9 @@ fn accept_loop(
     ctx: ServeCtx,
     stop: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
+    faults: Option<Arc<FaultPlan>>,
 ) {
+    let _faults = faults.clone().map(fault::enter);
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -118,6 +125,7 @@ fn accept_loop(
                 active.fetch_add(1, Ordering::Relaxed);
                 let guard = ActiveGuard(Arc::clone(&active));
                 let ctx = ctx.clone();
+                let plan = faults.clone();
                 // On spawn failure the connection is shed and the unrun
                 // closure is dropped, guard included, so the in-flight
                 // count still comes back down.
@@ -125,6 +133,7 @@ fn accept_loop(
                     .name("wqe-serve-conn".into())
                     .spawn(move || {
                         let _guard = guard;
+                        let _faults = plan.map(fault::enter);
                         let _ = handle_connection(stream, &ctx);
                     });
             }

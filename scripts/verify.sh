@@ -105,12 +105,15 @@ WQE_CHAOS_SEED=3405691582 cargo test --test chaos -q
 
 # The distance kernels dispatch at runtime (AVX2 when the CPU has it,
 # scalar otherwise); both paths must pass the index suite bit-identically.
-# The forced-scalar run covers the fallback even on AVX2 hosts.
+# The forced-scalar run covers the fallback even on AVX2 hosts, including
+# the pruning probes of PLL construction and incremental repair.
 echo "==> kernels: WQE_FORCE_SCALAR=1 cargo test -p wqe-index -q"
 WQE_FORCE_SCALAR=1 cargo test -p wqe-index -q
 
-echo "==> kernels: cargo test -p wqe-index -q"
-cargo test -p wqe-index -q
+# Every crate's unit and integration tests under the default kernel (the
+# tier-1 run above covers only the root package).
+echo "==> workspace: cargo test --workspace -q"
+cargo test --workspace -q
 
 # The batched oracle's headline number, in work counts (wall-clock-free):
 # dist_batch must scan >= 2x fewer label entries than pairwise merge-joins

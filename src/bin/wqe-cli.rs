@@ -66,13 +66,15 @@ fn main() {
     // deterministic fault plan for the whole run (period via
     // WQE_FAULT_PERIOD, site subset via WQE_FAULT_SITES). Absent the env
     // var this is a no-op and the hot paths stay fault-free.
-    if let Some(plan) = wqe::pool::fault::FaultPlan::from_env() {
+    // The plan is entered on the main thread; worker pools, service jobs
+    // and the HTTP server carry it on from there.
+    let _faults = wqe::pool::fault::FaultPlan::from_env().map(|plan| {
         eprintln!(
             "fault plan armed: seed {} (WQE_FAULT_SEED); injected faults degrade, never corrupt",
             plan.seed()
         );
-        wqe::pool::fault::install(Arc::new(plan));
-    }
+        wqe::pool::fault::enter(Arc::new(plan))
+    });
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
         Some("stats") => cmd_stats(&args[1..]),

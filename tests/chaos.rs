@@ -9,16 +9,18 @@
 //! (default below); `scripts/verify.sh` pins it and runs the suite both
 //! single-threaded and with default test threading.
 //!
-//! Tests that install a plan use `with_plan`, which serializes plan users
-//! behind a process-wide mutex — baselines are always computed *outside*
-//! the guard, fault-free.
+//! A plan is entered with `fault::enter`, which scopes it to the calling
+//! thread and the work that thread hands off (pool fan-outs, service
+//! jobs); the HTTP test hands its plan to the server. Baselines are
+//! computed outside the scope, fault-free, and tests running beside each
+//! other never see each other's plans.
 
 use std::sync::Arc;
 use wqe::core::engine::{Algorithm, WqeEngine};
 use wqe::core::service::{QueryRequest, QueryService, QueryStatus, ServiceConfig};
 use wqe::core::{EngineCtx, WhyQuestion, WqeConfig, WqeError};
 use wqe::graph::Graph;
-use wqe::pool::fault::{with_plan, FaultPlan, FaultSite};
+use wqe::pool::fault::{self, FaultPlan, FaultSite};
 
 /// Base seed for every schedule in this suite; override with
 /// `WQE_CHAOS_SEED=<n>` to explore (failures print the effective seed).
@@ -102,7 +104,7 @@ fn oracle_faults_never_change_answers() {
     }
 
     let plan = Arc::new(FaultPlan::new(chaos_seed()).arm(FaultSite::Oracle, 2));
-    let _guard = with_plan(Arc::clone(&plan));
+    let _scope = fault::enter(Arc::clone(&plan));
     for (algo, t, expected) in &baselines {
         let report = run(&ctx, &q, *algo, *t)
             .unwrap_or_else(|e| panic!("{algo:?}/p{t}: oracle faults must be absorbed, got {e}"));
@@ -126,7 +128,7 @@ fn pool_worker_faults_surface_as_typed_errors() {
     let baseline = fingerprint(&run(&ctx, &q, Algorithm::AnsW, 2).unwrap());
 
     let plan = Arc::new(FaultPlan::new(chaos_seed() ^ 1).arm(FaultSite::PoolWorker, 1));
-    let _guard = with_plan(Arc::clone(&plan));
+    let _scope = fault::enter(Arc::clone(&plan));
     for &t in &THREAD_COUNTS {
         match run(&ctx, &q, Algorithm::AnsW, t) {
             Err(WqeError::WorkerPanicked { message, .. }) => {
@@ -169,7 +171,7 @@ fn service_retry_ladder_recovers_transient_faults() {
             .arm(FaultSite::PoolWorker, 1)
             .with_budget(FaultSite::PoolWorker, 1),
     );
-    let _guard = with_plan(Arc::clone(&plan));
+    let _scope = fault::enter(Arc::clone(&plan));
     let svc = QueryService::new(
         ctx,
         ServiceConfig {
@@ -206,7 +208,7 @@ fn queue_faults_reject_like_saturation() {
     let (g, q) = setup();
     let ctx = EngineCtx::with_default_oracle(Arc::clone(&g));
     let plan = Arc::new(FaultPlan::new(chaos_seed() ^ 3).arm(FaultSite::Queue, 1));
-    let _guard = with_plan(Arc::clone(&plan));
+    let _scope = fault::enter(Arc::clone(&plan));
     let svc = QueryService::new(
         ctx,
         ServiceConfig {
@@ -249,7 +251,7 @@ fn cache_faults_force_recompute_with_identical_answers() {
             .arm(FaultSite::AnswerCache, 1)
             .arm(FaultSite::StarCache, 1),
     );
-    let _guard = with_plan(Arc::clone(&plan));
+    let _scope = fault::enter(Arc::clone(&plan));
     let svc = QueryService::new(
         ctx,
         ServiceConfig {
@@ -344,7 +346,7 @@ fn randomized_all_site_schedules_are_never_wrong() {
                 .arm(FaultSite::AnswerCache, 2)
                 .arm(FaultSite::StarCache, 3),
         );
-        let _guard = with_plan(Arc::clone(&plan));
+        let _scope = fault::enter(Arc::clone(&plan));
         for algo in ALGORITHMS {
             for &t in &THREAD_COUNTS {
                 match run(&ctx, &q, algo, t) {
@@ -389,7 +391,7 @@ fn store_read_faults_are_typed_or_quarantined() {
             .arm(FaultSite::StoreMmap, 2)
             .arm(FaultSite::StoreRead, 2),
     );
-    let _guard = with_plan(Arc::clone(&plan));
+    let _scope = fault::enter(Arc::clone(&plan));
     for attempt in 0..8 {
         match wqe::store::Snapshot::open(&path) {
             Ok(snap) => {
@@ -489,12 +491,14 @@ fn http_conn_faults_shed_connections_not_the_server() {
         graph: g,
         store: None,
     };
-    let server = wqe::serve::http::HttpServer::bind(serve_ctx, "127.0.0.1:0").expect("bind");
-    let addr = server.addr();
+    use wqe::serve::http::HttpServer;
+    // A server takes the plan in scope where it is bound: this one is
+    // fault-free and gives the baseline.
+    let clean = HttpServer::bind(serve_ctx.clone(), "127.0.0.1:0").expect("bind");
 
     // A best-effort exchange: `None` when the connection was dropped on us.
-    let post = |body: &str| -> Option<(u16, String)> {
-        let mut s = std::net::TcpStream::connect(addr).ok()?;
+    let post = |server: &HttpServer, body: &str| -> Option<(u16, String)> {
+        let mut s = std::net::TcpStream::connect(server.addr()).ok()?;
         let req = format!(
             "POST /why HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
@@ -510,9 +514,9 @@ fn http_conn_faults_shed_connections_not_the_server() {
         Some(v.get("report")?.get("fingerprint")?.as_str()?.to_string())
     };
 
-    // Baseline outside the plan guard, fault-free, through the full stack.
+    // Baseline outside the plan's scope, fault-free, through the full stack.
     let blocking = spec.to_string();
-    let (status, body) = post(&blocking).expect("fault-free exchange");
+    let (status, body) = post(&clean, &blocking).expect("fault-free exchange");
     assert_eq!(status, 200);
     let expected = fingerprint_of(&body).expect("baseline fingerprint");
 
@@ -522,14 +526,24 @@ fn http_conn_faults_shed_connections_not_the_server() {
     }
     let streaming = streaming.to_string();
 
-    let plan = Arc::new(FaultPlan::new(chaos_seed()).arm(FaultSite::HttpConn, 2));
-    let _guard = with_plan(Arc::clone(&plan));
+    // The storm server is bound inside the plan's scope, over the same
+    // service. Its budget caps the faults, so the storm ends.
+    const BUDGET: u64 = 6;
+    let plan = Arc::new(
+        FaultPlan::new(chaos_seed())
+            .arm(FaultSite::HttpConn, 2)
+            .with_budget(FaultSite::HttpConn, BUDGET),
+    );
+    let server = {
+        let _scope = fault::enter(Arc::clone(&plan));
+        HttpServer::bind(serve_ctx, "127.0.0.1:0").expect("bind")
+    };
     let mut served = 0;
     for i in 0..12 {
         // Alternate blocking and streaming so the fault hits both the
         // accept-time site and the mid-SSE site.
         let body = if i % 2 == 0 { &blocking } else { &streaming };
-        let Some((status, reply)) = post(body) else {
+        let Some((status, reply)) = post(&server, body) else {
             continue; // the injected drop — exactly what must stay contained
         };
         if i % 2 == 0 {
@@ -549,10 +563,14 @@ fn http_conn_faults_shed_connections_not_the_server() {
         plan.seed()
     );
     assert!(served > 0, "every request dropped (seed {})", plan.seed());
-    drop(_guard);
 
-    // The storm is over; the server still accepts and answers.
-    let (status, body) = post(&blocking).expect("post-chaos exchange");
+    // The storm is over: a dropped blocking exchange spends one fault, so
+    // within the unspent budget plus one attempts the server that took
+    // the faults accepts and answers again.
+    let unspent = BUDGET - plan.fired(FaultSite::HttpConn);
+    let (status, body) = (0..=unspent)
+        .find_map(|_| post(&server, &blocking))
+        .expect("post-chaos exchange");
     assert_eq!(status, 200);
     assert_eq!(fingerprint_of(&body).unwrap(), expected);
 }

@@ -1,6 +1,8 @@
 //! Intra-query parallelism must never change answers: `answ` and `ans_heu`
 //! at any thread count produce byte-identical reports, and the rank-windowed
-//! parallel PLL build answers exactly like sequential construction.
+//! parallel PLL build answers exactly like sequential construction. The PLL
+//! label sets themselves (sequential, windowed, repaired) are pinned by
+//! fingerprint, so a faster pruning test cannot silently change the index.
 //!
 //! The search trajectory is a function of `WqeConfig::frontier_batch` alone;
 //! `parallelism` only decides how many workers evaluate each batch. These
@@ -9,9 +11,11 @@
 use std::sync::Arc;
 use wqe::core::{EngineCtx, Session, WhyQuestion, WqeConfig};
 use wqe::datagen::{
-    dbpedia_like, generate_query, generate_why, QueryGenConfig, TopologyKind, WhyGenConfig,
+    dbpedia_like, generate_query, generate_why, imdb_like, QueryGenConfig, TopologyKind,
+    WhyGenConfig,
 };
-use wqe::index::{BoundedBfsOracle, DistanceOracle, HybridOracle, PllIndex};
+use wqe::graph::{GraphUpdate, NodeId};
+use wqe::index::{repair_insertions, BoundedBfsOracle, DistanceOracle, HybridOracle, PllIndex};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -177,5 +181,106 @@ fn parallel_pll_build_matches_bfs_and_is_thread_count_invariant() {
                 "{u:?}->{v:?}"
             );
         }
+    }
+}
+
+/// Entry counts plus an FNV-1a hash over the six flat label arrays (each
+/// prefixed by its length): equal fingerprints mean equal labels, entry
+/// for entry, not just equal answers.
+fn label_fingerprint(index: &PllIndex) -> String {
+    let p = index.to_parts();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for array in [
+        &p.out_offsets,
+        &p.out_ranks,
+        &p.out_dists,
+        &p.in_offsets,
+        &p.in_ranks,
+        &p.in_dists,
+    ] {
+        for word in std::iter::once(array.len() as u32).chain(array.iter().copied()) {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    format!(
+        "out={} in={} fnv={h:016x}",
+        p.out_ranks.len(),
+        p.in_ranks.len()
+    )
+}
+
+/// A fixed batch of new edges `i -> (7i + 3) mod n` for every 97th node,
+/// skipping self-loops (idempotent inserts of existing edges are no-ops).
+fn fixed_insert_batch(n: usize) -> Vec<GraphUpdate> {
+    (0..n)
+        .step_by(97)
+        .filter(|&i| (7 * i + 3) % n != i)
+        .map(|i| GraphUpdate::InsertEdge {
+            from: NodeId(i as u32),
+            to: NodeId(((7 * i + 3) % n) as u32),
+            label: "pinned".to_string(),
+        })
+        .collect()
+}
+
+/// Pins the PLL label set itself — sequential build, windowed build at 1,
+/// 2 and 4 threads, and incremental repair after a fixed insert batch —
+/// to fingerprints recorded on fixed generated graphs. Any change to how
+/// the pruned BFS certifies a visit that keeps or drops a single entry
+/// fails here, even when every answered distance stays exact.
+#[test]
+fn pll_labels_pinned_across_build_and_repair() {
+    let cases = [
+        (
+            "dbpedia_like(0.02, 4)",
+            dbpedia_like(0.02, 4),
+            [
+                "out=29852 in=23346 fnv=4bae0534824ef28c",
+                "out=43505 in=35436 fnv=026c5dd430cd36f1",
+                "out=43505 in=36618 fnv=4b3d96474ff14fc6",
+            ],
+        ),
+        (
+            "imdb_like(0.03, 7)",
+            imdb_like(0.03, 7),
+            [
+                "out=23323 in=17912 fnv=4af5adce254db2b9",
+                "out=36638 in=31103 fnv=b5b9f75479128305",
+                "out=36638 in=32167 fnv=f4f188f5243cb210",
+            ],
+        ),
+    ];
+    for (name, graph, [seq, windowed, repaired]) in cases {
+        assert_eq!(
+            label_fingerprint(&PllIndex::build(&graph)),
+            seq,
+            "{name}: build"
+        );
+        let base = PllIndex::build_with(&graph, 1);
+        assert_eq!(label_fingerprint(&base), windowed, "{name}: build_with(1)");
+        for threads in [2, 4] {
+            let par = PllIndex::build_with(&graph, threads);
+            assert_eq!(
+                label_fingerprint(&par),
+                windowed,
+                "{name}: build_with({threads})"
+            );
+        }
+        let (new_graph, delta) = graph
+            .apply_updates(&fixed_insert_batch(graph.node_count()))
+            .expect("valid batch");
+        assert!(
+            delta.pure_edge_insert(),
+            "{name}: batch must only insert edges"
+        );
+        let fixed = repair_insertions(&base, &new_graph, &delta.inserted_edges, u64::MAX)
+            .expect("unbounded budget always repairs");
+        assert_eq!(
+            label_fingerprint(&fixed),
+            repaired,
+            "{name}: repair_insertions"
+        );
     }
 }
