@@ -17,9 +17,10 @@ use crate::live::EpochId;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use wqe_graph::Graph;
-use wqe_index::{BoundedBfsOracle, DistanceOracle, HybridOracle, ResilientOracle, PLL_NODE_LIMIT};
+use wqe_index::{
+    wants_pll, BoundedBfsOracle, DistanceOracle, PllIndex, ResilientOracle, BFS_HORIZON,
+};
 use wqe_query::StarCache;
-use wqe_store::format::VERSION_INTERLEAVED_PLL;
 use wqe_store::{Snapshot, SnapshotOracle};
 
 /// What a snapshot-sourced build observed while loading: enough for a
@@ -101,8 +102,8 @@ impl EngineCtxBuilder {
     /// Uses a caller-chosen oracle verbatim (no resilience wrapping —
     /// callers that pick their own oracle own its failure behavior).
     /// Without this, [`build`](Self::build) derives the default oracle for
-    /// the graph source: [`HybridOracle::default_for`] (in-memory graphs)
-    /// or the snapshot's own labels, wrapped in the [`ResilientOracle`]
+    /// the graph source: the [`wants_pll`] tier (in-memory graphs) or the
+    /// snapshot's own labels, wrapped in the [`ResilientOracle`]
     /// degradation ladder either way.
     pub fn oracle(mut self, oracle: Arc<dyn DistanceOracle>) -> Self {
         self.oracle = Some(oracle);
@@ -164,11 +165,7 @@ impl EngineCtxBuilder {
         if let Some(graph) = self.graph {
             let oracle = match self.oracle {
                 Some(o) => o,
-                None => {
-                    let primary: Arc<dyn DistanceOracle> =
-                        Arc::new(HybridOracle::default_for(&graph, 4));
-                    EngineCtx::resilient(&graph, primary)
-                }
+                None => EngineCtx::resilient(&graph, policy_primary(&graph).1),
             };
             return Ok(EngineCtx {
                 graph,
@@ -191,21 +188,19 @@ impl EngineCtxBuilder {
         let oracle = match self.oracle {
             Some(o) => o,
             None => {
-                let primary: Arc<dyn DistanceOracle> = if !pll_usable {
-                    // Either the writer skipped labels (big graph: horizon-4
-                    // BFS is exactly what a fresh HybridOracle would use) or
-                    // the label sections were quarantined (degrade to an
-                    // unbounded BFS, which answers bit-identically to the
-                    // lost PLL labels).
-                    let horizon = if snap.meta().has_pll() { u32::MAX } else { 4 };
-                    Arc::new(BoundedBfsOracle::new(Arc::clone(&graph), horizon))
-                } else if snap.format_version() > VERSION_INTERLEAVED_PLL {
+                let primary: Arc<dyn DistanceOracle> = if pll_usable {
                     Arc::new(SnapshotOracle::new(Arc::new(snap))?)
                 } else {
-                    let pll = snap
-                        .load_pll()?
-                        .expect("pll_available implies label sections (validated at open)");
-                    Arc::new(pll)
+                    // Either the writer skipped labels (the BFS tier a fresh
+                    // build would pick) or the label sections were
+                    // quarantined (degrade to an unbounded BFS, which
+                    // answers bit-identically to the lost PLL labels).
+                    let horizon = if snap.meta().has_pll() {
+                        u32::MAX
+                    } else {
+                        BFS_HORIZON
+                    };
+                    Arc::new(BoundedBfsOracle::new(Arc::clone(&graph), horizon))
                 };
                 EngineCtx::resilient(&graph, primary)
             }
@@ -241,8 +236,8 @@ impl EngineCtx {
             .expect("graph+oracle builds are infallible")
     }
 
-    /// Bundles a graph with [`HybridOracle::default_for`] at the paper's
-    /// default distance horizon (`b_m = 4`), wrapped in the
+    /// Bundles a graph with the oracle [`wants_pll`] picks for it (PLL, or
+    /// BFS at [`BFS_HORIZON`] past the crossover), wrapped in the
     /// [`ResilientOracle`] degradation ladder (retry → circuit breaker →
     /// answer-parity BFS fallback). With no fault plan in scope the wrap
     /// is a pass-through; answers are always bit-identical either way.
@@ -255,20 +250,15 @@ impl EngineCtx {
     }
 
     /// Wraps `primary` in a [`ResilientOracle`] whose fallback answers
-    /// identically: graphs at or under the PLL crossover get an unbounded
-    /// BFS (exact, like the PLL labels), larger graphs the same horizon-4
-    /// BFS that [`HybridOracle::default_for`] would pick — so degradation
-    /// never changes an answer, only its latency.
+    /// identically: a BFS at the primary's own
+    /// [`horizon`](DistanceOracle::horizon) — unbounded behind PLL labels,
+    /// snapshots and overlays, [`BFS_HORIZON`] behind a BFS primary — so
+    /// degradation never changes an answer, only its latency.
     pub(crate) fn resilient(
         graph: &Arc<Graph>,
         primary: Arc<dyn DistanceOracle>,
     ) -> Arc<dyn DistanceOracle> {
-        let horizon = if graph.node_count() <= PLL_NODE_LIMIT {
-            u32::MAX
-        } else {
-            4
-        };
-        let fallback = Arc::new(BoundedBfsOracle::new(Arc::clone(graph), horizon));
+        let fallback = Arc::new(BoundedBfsOracle::new(Arc::clone(graph), primary.horizon()));
         Arc::new(ResilientOracle::new(primary, fallback))
     }
 
@@ -277,14 +267,11 @@ impl EngineCtx {
     /// Sugar for `builder().snapshot_path(path).build()`.
     ///
     /// Snapshots written with PLL labels serve distances straight from the
-    /// mapped label arrays ([`SnapshotOracle`], zero-copy); version-1
-    /// files (interleaved label entries, no flat view to borrow) get the
-    /// same labels deinterleaved once into an owned index; snapshots
-    /// without labels get the same bounded-BFS oracle (`horizon = 4`) that
-    /// [`HybridOracle::default_for`] would pick for a graph past the PLL
-    /// crossover. Because the writer's [`wqe_store::wants_pll`] policy
-    /// mirrors that crossover, answers from a snapshot-loaded context are
-    /// bit-identical to a freshly built one.
+    /// mapped label arrays ([`SnapshotOracle`], zero-copy); snapshots
+    /// without labels get the bounded-BFS oracle at [`BFS_HORIZON`] that a
+    /// fresh build picks past the PLL crossover. Because the writer asks
+    /// the same [`wants_pll`] policy, answers from a snapshot-loaded
+    /// context are bit-identical to a freshly built one.
     ///
     /// A snapshot whose *optional* sections (the PLL label arrays) failed
     /// their checksum is not refused: `Snapshot::open` quarantines them,
@@ -326,6 +313,22 @@ impl EngineCtx {
     /// from this one, never mutates it.
     pub fn star_cache(&self) -> &Arc<StarCache> {
         &self.star_cache
+    }
+}
+
+/// The primary oracle the [`wants_pll`] policy picks for `graph`: a PLL
+/// index (also returned as the handle live publishes repair) or a BFS at
+/// [`BFS_HORIZON`]. The PLL primary stays the concrete index, so queries
+/// pay no dispatch beyond the one `dyn` call.
+pub(crate) fn policy_primary(
+    graph: &Arc<Graph>,
+) -> (Option<Arc<PllIndex>>, Arc<dyn DistanceOracle>) {
+    if wants_pll(graph.node_count()) {
+        let pll = Arc::new(PllIndex::build_with(graph, 0));
+        (Some(Arc::clone(&pll)), pll)
+    } else {
+        let bfs = BoundedBfsOracle::new(Arc::clone(graph), BFS_HORIZON);
+        (None, Arc::new(bfs))
     }
 }
 

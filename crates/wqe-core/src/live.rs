@@ -31,13 +31,11 @@
 //! assert_eq!(store.pin().id().0, 1); // fresh pins see the new epoch
 //! ```
 
-use crate::ctx::EngineCtx;
+use crate::ctx::{policy_primary, EngineCtx};
 use crate::error::WqeError;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use wqe_graph::{DeltaSummary, Graph, GraphUpdate};
-use wqe_index::{
-    repair_insertions, BoundedBfsOracle, DeltaOracle, DistanceOracle, PllIndex, PLL_NODE_LIMIT,
-};
+use wqe_index::{repair_insertions, wants_pll, DeltaOracle, DistanceOracle, PllIndex};
 
 /// Identifies one published state of a live graph. Epoch 0 is the state
 /// the store was created with; each successful publish increments it.
@@ -72,8 +70,8 @@ pub enum OracleTier {
     /// Repair debt hit its ceiling (or repair blew its budget on a large
     /// delta): the PLL index was rebuilt from scratch.
     RebuiltPll,
-    /// Graph past the PLL crossover: a fresh horizon-4 BFS oracle, exactly
-    /// what a cold build would pick.
+    /// Graph past the PLL crossover: a fresh BFS oracle at
+    /// [`wqe_index::BFS_HORIZON`], exactly what a cold build would pick.
     Bfs,
     /// No-op batch: the previous epoch was left as head.
     Unchanged,
@@ -201,9 +199,6 @@ struct Inner {
 /// Overlay chains longer than this are cut by a full PLL rebuild.
 const OVERLAY_DEBT_LIMIT: u32 = 4;
 
-/// Threads used for full PLL (re)builds inside the store.
-const BUILD_THREADS: usize = 4;
-
 fn relock<'a, T>(
     r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
 ) -> MutexGuard<'a, T> {
@@ -223,13 +218,7 @@ impl GraphStore {
     /// store keeps its own handle on the PLL index (when the graph is
     /// under the crossover) so later publishes can repair it.
     pub fn new(graph: Arc<Graph>) -> GraphStore {
-        let (pll, primary): (Option<Arc<PllIndex>>, Arc<dyn DistanceOracle>) =
-            if graph.node_count() <= PLL_NODE_LIMIT {
-                let pll = Arc::new(PllIndex::build_with(&graph, BUILD_THREADS));
-                (Some(Arc::clone(&pll)), pll)
-            } else {
-                (None, Arc::new(BoundedBfsOracle::new(Arc::clone(&graph), 4)))
-            };
+        let (pll, primary) = policy_primary(&graph);
         let oracle = EngineCtx::resilient(&graph, primary);
         let ctx = EngineCtx::builder()
             .graph(graph)
@@ -394,49 +383,51 @@ impl GraphStore {
             });
         }
         let new_graph = Arc::new(new_graph);
-        let small = new_graph.node_count() <= PLL_NODE_LIMIT;
+        let small = wants_pll(new_graph.node_count());
 
         // Cheapest exact tier first. Every branch produces an oracle that
         // answers exactly on `new_graph`, so the choice is invisible to
         // answers — only to publish latency and query latency.
-        let mut tier = OracleTier::Bfs;
-        let mut new_pll: Option<Arc<PllIndex>> = None;
+        let repaired = match old_pll.as_deref() {
+            Some(pll) if small && delta.pure_edge_insert() => {
+                let budget = 48 * new_graph.node_count() as u64 + 4_096;
+                repair_insertions(pll, &new_graph, &delta.inserted_edges, budget)
+            }
+            _ => None,
+        };
         let mut new_debt = 0u32;
-        let primary: Arc<dyn DistanceOracle> = if small {
-            let repaired = if delta.pure_edge_insert() {
-                old_pll.as_deref().and_then(|pll| {
-                    let budget = 48 * new_graph.node_count() as u64 + 4_096;
-                    repair_insertions(pll, &new_graph, &delta.inserted_edges, budget)
-                })
-            } else {
-                None
-            };
-            if let Some(repaired) = repaired {
+        let (tier, new_pll, primary): (_, _, Arc<dyn DistanceOracle>) = match repaired {
+            Some(repaired) => {
                 let repaired = Arc::new(repaired);
-                tier = OracleTier::RepairedPll;
-                new_pll = Some(Arc::clone(&repaired));
-                repaired
-            } else if old_debt < OVERLAY_DEBT_LIMIT {
-                // Sound because small-graph epochs always carry an
-                // unbounded-exact oracle (PLL labels, a previous overlay,
-                // or the resilient BFS fallback — never a horizon-4 BFS).
-                tier = OracleTier::Overlay;
+                (
+                    OracleTier::RepairedPll,
+                    Some(Arc::clone(&repaired)),
+                    repaired,
+                )
+            }
+            // The overlay is exact up to its base's horizon, which it
+            // reports as its own: unbounded over PLL labels and earlier
+            // overlays.
+            None if small && old_debt < OVERLAY_DEBT_LIMIT => {
                 new_debt = old_debt + 1;
-                Arc::new(DeltaOracle::new(
+                let overlay = DeltaOracle::new(
                     Arc::clone(old_ctx.oracle()),
                     Arc::clone(&new_graph),
                     old_ctx.graph().node_count() as u32,
                     delta.inserted_edges.clone(),
                     delta.deleted_edges.clone(),
-                ))
-            } else {
-                tier = OracleTier::RebuiltPll;
-                let pll = Arc::new(PllIndex::build_with(&new_graph, BUILD_THREADS));
-                new_pll = Some(Arc::clone(&pll));
-                pll
+                );
+                (OracleTier::Overlay, None, Arc::new(overlay))
             }
-        } else {
-            Arc::new(BoundedBfsOracle::new(Arc::clone(&new_graph), 4))
+            None => {
+                let (pll, primary) = policy_primary(&new_graph);
+                let tier = if pll.is_some() {
+                    OracleTier::RebuiltPll
+                } else {
+                    OracleTier::Bfs
+                };
+                (tier, pll, primary)
+            }
         };
         let oracle = EngineCtx::resilient(&new_graph, primary);
         let (next_cache, star_evicted) = old_ctx.star_cache().carry_over(&delta);
@@ -712,7 +703,7 @@ mod tests {
         // Fake "big" by going through from_ctx (no PLL handle) with a
         // deletion so neither repair nor a small-graph invariant is
         // assumed. The overlay tier covers small from_ctx stores; the BFS
-        // branch needs node_count > PLL_NODE_LIMIT, which is too big to
+        // branch needs a graph past the `wants_pll` crossover, too big to
         // build here — so assert the from_ctx/overlay path instead.
         let ctx = EngineCtx::with_default_oracle(Arc::new(product_graph().graph));
         let s = GraphStore::from_ctx(ctx);

@@ -12,8 +12,10 @@ use crate::ctx::EngineCtx;
 use crate::error::WqeError;
 use crate::exemplar::{compute_representation, satisfies, Exemplar, Representation};
 use crate::relevance::RelevanceSets;
+use crate::spec::SpecError;
 use std::sync::Arc;
 use wqe_graph::{Graph, NodeId};
+use wqe_index::DistanceOracle;
 use wqe_query::{MatchOutcome, Matcher, PatternQuery};
 
 /// A why-question `W(Q(u_o), E)` (§2.2).
@@ -370,13 +372,23 @@ impl Session {
         Session::try_new(ctx, question, config).expect("valid why-question and config")
     }
 
-    /// Fallible constructor: validates the question and tunables first.
+    /// Fallible constructor: validates the question and tunables first,
+    /// and rejects ([`WqeError::Spec`]) a pattern whose `max_bound` exceeds
+    /// the context oracle's [`horizon`](DistanceOracle::horizon) — past
+    /// it, the oracle could not answer every bound the search may pose.
     pub fn try_new(
         ctx: EngineCtx,
         question: &WhyQuestion,
         config: WqeConfig,
     ) -> Result<Self, WqeError> {
         validate(question, &config)?;
+        let horizon = ctx.oracle().horizon();
+        if question.query.max_bound() > horizon {
+            return Err(WqeError::Spec(SpecError(format!(
+                "max_bound {} exceeds the distance oracle's exact horizon {horizon}",
+                question.query.max_bound()
+            ))));
+        }
         let mut matcher = if config.caching {
             // Share the context's per-epoch star cache: sessions pinned to
             // the same epoch reuse each other's materialized star tables.
@@ -570,8 +582,13 @@ mod tests {
     }
 
     fn paper_question(g: &Graph) -> WhyQuestion {
+        paper_question_bounded(g, 4)
+    }
+
+    /// The Fig. 1 question with global edge bound `b_m = max_bound`.
+    fn paper_question_bounded(g: &Graph, max_bound: u32) -> WhyQuestion {
         let s = g.schema();
-        let mut q = PatternQuery::new(s.label_id("Cellphone"), 4);
+        let mut q = PatternQuery::new(s.label_id("Cellphone"), max_bound);
         let carrier = q.add_node(s.label_id("Carrier"));
         let sensor = q.add_node(s.label_id("Sensor"));
         q.add_edge(q.focus(), carrier, 1).unwrap();
@@ -724,6 +741,25 @@ mod tests {
             Err(e) => assert_eq!(e, crate::error::WqeError::DeadFocus),
             Ok(_) => panic!("expected DeadFocus"),
         }
+    }
+
+    #[test]
+    fn try_new_rejects_bounds_past_the_oracle_horizon() {
+        // A horizon-4 BFS answers a bound-6 query as if it were bound 4;
+        // the session must refuse the question, not answer it differently
+        // from the PLL tier.
+        let pg = product_graph();
+        let g = &pg.graph;
+        let wq = paper_question_bounded(g, 6);
+        let graph = Arc::new(g.clone());
+        let bfs = Arc::new(wqe_index::BoundedBfsOracle::new(Arc::clone(&graph), 4));
+        match Session::try_new(EngineCtx::new(graph, bfs), &wq, WqeConfig::default()) {
+            Err(crate::error::WqeError::Spec(e)) => assert!(e.0.contains("horizon"), "{e}"),
+            Err(other) => panic!("expected Spec, got {other:?}"),
+            Ok(_) => panic!("expected Spec, got Ok"),
+        }
+        // The PLL tier is exact at every distance and answers it.
+        assert!(Session::try_new(ctx_for(g), &wq, WqeConfig::default()).is_ok());
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! estimate, whose double-sweep (and its tie-breaking) is replicated
 //! exactly — which is what the cross-validation test pins. Scale snapshots
 //! carry no PLL sections (`flags = 0`): graphs this size are past the
-//! [`wqe_index::PLL_NODE_LIMIT`] crossover, so a loaded context serves
-//! distances through the bounded-BFS oracle exactly like a fresh build
-//! would.
+//! [`wqe_index::wants_pll`] crossover, so a loaded context serves distances
+//! through the bounded-BFS oracle at [`wqe_index::BFS_HORIZON`] exactly like
+//! a fresh build would, and its sessions reject a pattern whose `b_m`
+//! exceeds that horizon.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -49,7 +49,7 @@ pub enum LoadError {
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
-        /// Highest version this build supports.
+        /// The one version this build reads.
         supported: u32,
     },
     /// A snapshot section's checksum did not match its bytes.
@@ -94,7 +94,8 @@ impl fmt::Display for LoadError {
             LoadError::BadMagic => write!(f, "not a WQE snapshot (bad magic bytes)"),
             LoadError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "snapshot format version {found} not supported (this build reads <= {supported})"
+                "snapshot format version {found} not supported (this build reads version \
+                 {supported}; rebuild the snapshot with `wqe-cli index build`)"
             ),
             LoadError::ChecksumMismatch { section } => {
                 write!(f, "snapshot section {section:?} failed its checksum")

@@ -21,9 +21,10 @@ const GOVERNOR_POLL_INTERVAL: usize = 256;
 
 /// Memoizing bounded-BFS oracle.
 ///
-/// `horizon` is the largest distance the oracle will ever report; queries
-/// with a larger bound are truncated to the horizon. Memo entries are evicted
-/// FIFO once `capacity` sources are cached.
+/// `horizon` is the largest distance the oracle will ever report
+/// ([`DistanceOracle::horizon`]); queries with a larger bound are truncated
+/// to the horizon. Memo entries are evicted FIFO once `capacity` sources
+/// are cached.
 ///
 /// Shares ownership of the graph, so the oracle is `'static`: it can be put
 /// behind an `Arc<dyn DistanceOracle>` and handed to any thread. The memo
@@ -139,11 +140,6 @@ impl BoundedBfsOracle {
         self
     }
 
-    /// The distance horizon.
-    pub fn horizon(&self) -> u32 {
-        self.horizon
-    }
-
     /// Number of memoized sources (for tests and instrumentation).
     pub fn cached_sources(&self) -> usize {
         self.memo
@@ -154,11 +150,10 @@ impl BoundedBfsOracle {
     }
 
     /// The memo is shared by every session on the context, so its locks
-    /// recover from poison: a panic in one session (e.g. injected by a
-    /// `FaultOracle` in front of this one, or a bug in a verifier thread)
-    /// must never take the cache down for its siblings. The map itself is
-    /// never left mid-update by the code below — entries are inserted with
-    /// a single `insert` after being fully computed.
+    /// recover from poison: a panic in one session (e.g. a bug in a
+    /// verifier thread) must never take the cache down for its siblings.
+    /// The map itself is never left mid-update by the code below — entries
+    /// are inserted with a single `insert` after being fully computed.
     fn reach_from(&self, u: NodeId) -> Arc<HashMap<NodeId, u32>> {
         if let Some(hit) = self
             .memo
@@ -248,6 +243,10 @@ impl DistanceOracle for BoundedBfsOracle {
         }
         out
     }
+
+    fn horizon(&self) -> u32 {
+        self.horizon
+    }
 }
 
 #[cfg(test)]
@@ -278,6 +277,7 @@ mod tests {
     fn horizon_truncates() {
         let g = cycle(10);
         let o = BoundedBfsOracle::new(g, 2);
+        assert_eq!(o.horizon(), 2);
         assert_eq!(o.distance_within(NodeId(0), NodeId(3), 9), None);
         assert_eq!(o.distance_within(NodeId(0), NodeId(2), 9), Some(2));
     }

@@ -296,11 +296,12 @@ pub struct DeltaOracle {
 }
 
 impl DeltaOracle {
-    /// Builds the overlay. `base` answers *unbounded* exact distances on
-    /// the old graph (`old_n` nodes); `graph` is the new graph; `inserted`
-    /// and `deleted` are the delta's distinct edge pairs (endpoint pairs —
-    /// parallel labels collapse, which is sound because distances ignore
-    /// edge labels).
+    /// Builds the overlay. `base` answers exact distances on the old graph
+    /// (`old_n` nodes) up to its [`horizon`](DistanceOracle::horizon),
+    /// usually unbounded, and the overlay is exact up to the same horizon.
+    /// `graph` is the new graph; `inserted` and `deleted` are the delta's
+    /// distinct edge pairs (endpoint pairs — parallel labels collapse,
+    /// which is sound because distances ignore edge labels).
     pub fn new(
         base: Arc<dyn DistanceOracle>,
         graph: Arc<Graph>,
@@ -388,6 +389,12 @@ impl DistanceOracle for DeltaOracle {
             let _ = q;
         }
         best.filter(|&d| d <= bound)
+    }
+
+    /// The base oracle's horizon: every term of the decomposition up to it
+    /// is exact.
+    fn horizon(&self) -> u32 {
+        self.base.horizon()
     }
 }
 

@@ -1,153 +1,17 @@
-//! Deterministic fault injection and recovery for distance oracles.
+//! Fault recovery for distance oracles.
 //!
-//! [`FaultOracle`] wraps any [`DistanceOracle`] and injects failures on a
-//! seed-driven, reproducible schedule: worker panics (to exercise panic
-//! containment), `u32::MAX`-style unreachable answers (to exercise
-//! conservative degradation), and fixed per-call delays (to make deadlines
-//! and cancellation testable without flaky timing assumptions). Used by
-//! `tests/governor.rs`; useful in any chaos-style robustness harness.
-//!
-//! When no fault fires, the wrapper is a pure pass-through — answers are
-//! bit-identical to the inner oracle's, so a fault-exhausted `FaultOracle`
-//! behaves exactly like the oracle it wraps.
-//!
-//! [`ResilientOracle`] is the *recovery* side: it consults the calling
-//! thread's [`wqe_pool::fault::FaultPlan`] (the `oracle` site) and runs the
+//! [`ResilientOracle`] consults the calling thread's
+//! [`wqe_pool::fault::FaultPlan`] (the `oracle` site) and runs the
 //! degradation ladder — bounded retry with backoff, then a sticky
 //! per-oracle circuit breaker that pins an exact fallback oracle.
 
 use crate::oracle::DistanceOracle;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use wqe_graph::NodeId;
 use wqe_pool::fault::{self, CircuitBreaker, FaultSite};
 use wqe_pool::obs;
-
-/// What an injected fault does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Panic inside the oracle call (simulates a crashed verifier thread).
-    Panic,
-    /// Report the pair unreachable (distance `u32::MAX`, i.e. `None`),
-    /// regardless of the true distance.
-    Unreachable,
-    /// Sleep for the given duration, then answer normally. Turns any inner
-    /// oracle into a deterministically slow one.
-    Delay(Duration),
-}
-
-/// A fault-injecting [`DistanceOracle`] wrapper.
-///
-/// The schedule is a pure function of `(seed, period, call number)`: call
-/// `n` faults iff `splitmix64(seed ^ n) % period == 0`. With `period == 1`
-/// every call faults. An optional fault budget ([`FaultOracle::with_fault_limit`])
-/// caps how many faults ever fire — `with_fault_limit(1)` yields a
-/// fire-once oracle that behaves normally afterwards, which is exactly what
-/// the "panic poisons nothing" sibling-session test needs.
-///
-/// Like every oracle, the wrapper is `Send + Sync`; the call counter and
-/// fault budget are atomics.
-pub struct FaultOracle {
-    inner: Arc<dyn DistanceOracle>,
-    kind: FaultKind,
-    seed: u64,
-    period: u64,
-    /// Remaining faults; negative means unlimited.
-    remaining: AtomicI64,
-    calls: AtomicU64,
-}
-
-/// SplitMix64 finalizer: a strong deterministic bit mixer.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-impl FaultOracle {
-    /// Wraps `inner`, faulting on the deterministic schedule
-    /// `splitmix64(seed ^ n) % period == 0` (call numbers `n` start at 0).
-    /// `period` is clamped to at least 1 (1 = fault every call).
-    pub fn new(inner: Arc<dyn DistanceOracle>, kind: FaultKind, seed: u64, period: u64) -> Self {
-        FaultOracle {
-            inner,
-            kind,
-            seed,
-            period: period.max(1),
-            remaining: AtomicI64::new(-1),
-            calls: AtomicU64::new(0),
-        }
-    }
-
-    /// Caps the total number of faults that will ever fire; after the
-    /// budget is spent the oracle is a pure pass-through.
-    pub fn with_fault_limit(self, limit: u32) -> Self {
-        self.remaining.store(limit as i64, Ordering::Relaxed);
-        self
-    }
-
-    /// Convenience: a delay of `millis` on every call (deterministic slow
-    /// oracle for deadline/cancellation tests).
-    pub fn slow(inner: Arc<dyn DistanceOracle>, millis: u64) -> Self {
-        FaultOracle::new(inner, FaultKind::Delay(Duration::from_millis(millis)), 0, 1)
-    }
-
-    /// Total oracle calls observed so far.
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// Whether the schedule (ignoring the fault budget) fires on call `n`.
-    pub fn schedule_fires(&self, n: u64) -> bool {
-        splitmix64(self.seed ^ n).is_multiple_of(self.period)
-    }
-
-    /// Accounts one call; panics or sleeps per the fault kind; returns
-    /// `true` when the answer must be overridden with "unreachable".
-    fn on_call(&self) -> bool {
-        let n = self.calls.fetch_add(1, Ordering::Relaxed);
-        if !self.schedule_fires(n) {
-            return false;
-        }
-        // Spend from the fault budget (negative = unlimited). A stale
-        // decrement past zero is restored so the budget never goes negative
-        // through racing callers.
-        let prior = self.remaining.load(Ordering::Relaxed);
-        if prior >= 0 && self.remaining.fetch_sub(1, Ordering::Relaxed) <= 0 {
-            self.remaining.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        match self.kind {
-            FaultKind::Panic => panic!("injected oracle fault: panic at call {n}"),
-            FaultKind::Unreachable => true,
-            FaultKind::Delay(d) => {
-                std::thread::sleep(d);
-                false
-            }
-        }
-    }
-}
-
-impl DistanceOracle for FaultOracle {
-    fn distance_within(&self, u: NodeId, v: NodeId, bound: u32) -> Option<u32> {
-        if self.on_call() {
-            return None;
-        }
-        self.inner.distance_within(u, v, bound)
-    }
-
-    /// Delegates pair-by-pair through `distance_within` so the fault
-    /// schedule counts batched and pointwise calls identically.
-    fn dist_batch(&self, pairs: &[(NodeId, NodeId)], bound: u32) -> Vec<Option<u32>> {
-        pairs
-            .iter()
-            .map(|&(u, v)| self.distance_within(u, v, bound))
-            .collect()
-    }
-}
 
 /// The degradation ladder for distance oracles: primary → bounded retry
 /// (with backoff) → exact fallback, with a sticky circuit breaker that
@@ -233,8 +97,7 @@ impl ResilientOracle {
         loop {
             let injected = fault::fire(FaultSite::Oracle).is_some();
             if !injected {
-                // A real panic in the primary (e.g. a FaultOracle below
-                // us) is caught and ridden through the same ladder; the
+                // A real panic in the primary is caught and ridden through the same ladder; the
                 // catch only exists while a plan is active, so the
                 // production path never pays for it.
                 if let Ok(r) = catch_unwind(AssertUnwindSafe(|| op(&*self.primary))) {
@@ -265,6 +128,12 @@ impl DistanceOracle for ResilientOracle {
     fn dist_batch(&self, pairs: &[(NodeId, NodeId)], bound: u32) -> Vec<Option<u32>> {
         self.call(&|o| o.dist_batch(pairs, bound))
     }
+
+    /// The primary's horizon: the fallback is required to answer
+    /// identically up to it.
+    fn horizon(&self) -> u32 {
+        self.primary.horizon()
+    }
 }
 
 #[cfg(test)]
@@ -280,71 +149,6 @@ mod tests {
             b.add_edge(w[0], w[1], "e");
         }
         Arc::new(BoundedBfsOracle::new(Arc::new(b.finalize()), u32::MAX))
-    }
-
-    #[test]
-    fn schedule_is_deterministic() {
-        let a = FaultOracle::new(line_oracle(4), FaultKind::Unreachable, 42, 3);
-        let b = FaultOracle::new(line_oracle(4), FaultKind::Unreachable, 42, 3);
-        let fires_a: Vec<bool> = (0..200).map(|n| a.schedule_fires(n)).collect();
-        let fires_b: Vec<bool> = (0..200).map(|n| b.schedule_fires(n)).collect();
-        assert_eq!(fires_a, fires_b);
-        let count = fires_a.iter().filter(|&&x| x).count();
-        assert!(count > 20 && count < 150, "~1/3 of calls fire, got {count}");
-    }
-
-    #[test]
-    fn unreachable_overrides_answers() {
-        let o = FaultOracle::new(line_oracle(5), FaultKind::Unreachable, 7, 1);
-        for _ in 0..10 {
-            assert_eq!(o.distance_within(NodeId(0), NodeId(1), 9), None);
-        }
-        assert_eq!(o.calls(), 10);
-    }
-
-    #[test]
-    fn fault_limit_restores_passthrough() {
-        let o = FaultOracle::new(line_oracle(5), FaultKind::Unreachable, 7, 1).with_fault_limit(2);
-        assert_eq!(o.distance_within(NodeId(0), NodeId(1), 9), None);
-        assert_eq!(o.distance_within(NodeId(0), NodeId(1), 9), None);
-        // Budget spent: exact answers from here on.
-        for _ in 0..5 {
-            assert_eq!(o.distance_within(NodeId(0), NodeId(1), 9), Some(1));
-        }
-    }
-
-    #[test]
-    fn panic_fires_once_then_passthrough() {
-        let o =
-            Arc::new(FaultOracle::new(line_oracle(5), FaultKind::Panic, 1, 1).with_fault_limit(1));
-        let o2 = Arc::clone(&o);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            o2.distance_within(NodeId(0), NodeId(1), 9)
-        }));
-        assert!(r.is_err());
-        assert_eq!(o.distance_within(NodeId(0), NodeId(1), 9), Some(1));
-    }
-
-    #[test]
-    fn dist_batch_counts_like_pointwise() {
-        let a = FaultOracle::new(line_oracle(6), FaultKind::Unreachable, 11, 2);
-        let b = FaultOracle::new(line_oracle(6), FaultKind::Unreachable, 11, 2);
-        let pairs: Vec<(NodeId, NodeId)> = (0..5).map(|i| (NodeId(0), NodeId(i))).collect();
-        let batched = a.dist_batch(&pairs, 9);
-        let pointwise: Vec<Option<u32>> = pairs
-            .iter()
-            .map(|&(u, v)| b.distance_within(u, v, 9))
-            .collect();
-        assert_eq!(batched, pointwise);
-        assert_eq!(a.calls(), b.calls());
-    }
-
-    #[test]
-    fn delay_slows_calls_down() {
-        let o = FaultOracle::slow(line_oracle(4), 5);
-        let t0 = std::time::Instant::now();
-        assert_eq!(o.distance_within(NodeId(0), NodeId(2), 9), Some(2));
-        assert!(t0.elapsed() >= Duration::from_millis(5));
     }
 
     fn resilient_line(n: usize) -> ResilientOracle {
@@ -413,8 +217,13 @@ mod tests {
         // but an active plan turns on panic containment, and the
         // always-panicking primary degrades to the exact fallback.
         let plan = Arc::new(wqe_pool::fault::FaultPlan::new(11).arm(FaultSite::Queue, 1));
-        let panicky: Arc<dyn DistanceOracle> =
-            Arc::new(FaultOracle::new(line_oracle(5), FaultKind::Panic, 1, 1));
+        struct Panicky;
+        impl DistanceOracle for Panicky {
+            fn distance_within(&self, _: NodeId, _: NodeId, _: u32) -> Option<u32> {
+                panic!("primary crashed")
+            }
+        }
+        let panicky: Arc<dyn DistanceOracle> = Arc::new(Panicky);
         let r = ResilientOracle::new(panicky, line_oracle(5))
             .with_backoff(Duration::ZERO)
             .with_retries(0);

@@ -11,8 +11,12 @@
 //! * [`PllIndex`] — a from-scratch pruned-landmark-labeling (2-hop cover)
 //!   index for directed graphs, exact at any distance;
 //! * [`BoundedBfsOracle`] — a memoizing truncated-BFS oracle, exact up to a
-//!   configurable horizon (the matcher never asks beyond `b_m`);
-//! * [`HybridOracle`] — picks between the two by graph size;
+//!   configurable horizon, which it reports through
+//!   [`DistanceOracle::horizon`] (sessions reject a pattern whose `b_m`
+//!   exceeds it);
+//! * [`wants_pll`] — the one PLL-or-BFS decision, by graph size
+//!   ([`PLL_NODE_LIMIT`]), with BFS at [`BFS_HORIZON`] past it;
+//!   [`HybridOracle`] applies it;
 //! * [`PllParts`] / [`PllSlices`] — flat struct-of-arrays label export for
 //!   the durable snapshot store and a zero-copy borrowed-slice serving view
 //!   over it ([`PllSlices`] is *the* query path — owned and mapped indexes
@@ -31,9 +35,9 @@ mod pll;
 
 pub use bfs::BoundedBfsOracle;
 pub use delta::{repair_insertions, DeltaOracle};
-pub use fault::{FaultKind, FaultOracle, ResilientOracle};
+pub use fault::ResilientOracle;
 pub use kernel::{active_kernel, BatchScratch, Kernel};
-pub use oracle::{DistanceOracle, HybridOracle, PLL_NODE_LIMIT};
+pub use oracle::{wants_pll, DistanceOracle, HybridOracle, BFS_HORIZON, PLL_NODE_LIMIT};
 pub use pll::{LabelStats, PllIndex, PllParts, PllSlices};
 
 #[cfg(test)]

@@ -35,6 +35,14 @@ pub trait DistanceOracle: Send + Sync {
             .map(|&(u, v)| self.distance_within(u, v, bound))
             .collect()
     }
+
+    /// The largest bound this oracle answers exactly. Queries with a larger
+    /// bound are answered as if asked at the horizon, so a caller must not
+    /// pose a pattern whose `b_m` exceeds it. Exact-at-any-distance
+    /// oracles (PLL, overlays over them) keep the default `u32::MAX`.
+    fn horizon(&self) -> u32 {
+        u32::MAX
+    }
 }
 
 impl<T: DistanceOracle + ?Sized> DistanceOracle for &T {
@@ -43,6 +51,9 @@ impl<T: DistanceOracle + ?Sized> DistanceOracle for &T {
     }
     fn dist_batch(&self, pairs: &[(NodeId, NodeId)], bound: u32) -> Vec<Option<u32>> {
         (**self).dist_batch(pairs, bound)
+    }
+    fn horizon(&self) -> u32 {
+        (**self).horizon()
     }
 }
 
@@ -53,6 +64,9 @@ impl<T: DistanceOracle + ?Sized> DistanceOracle for Arc<T> {
     fn dist_batch(&self, pairs: &[(NodeId, NodeId)], bound: u32) -> Vec<Option<u32>> {
         (**self).dist_batch(pairs, bound)
     }
+    fn horizon(&self) -> u32 {
+        (**self).horizon()
+    }
 }
 
 impl<T: DistanceOracle + ?Sized> DistanceOracle for Box<T> {
@@ -62,20 +76,33 @@ impl<T: DistanceOracle + ?Sized> DistanceOracle for Box<T> {
     fn dist_batch(&self, pairs: &[(NodeId, NodeId)], bound: u32) -> Vec<Option<u32>> {
         (**self).dist_batch(pairs, bound)
     }
+    fn horizon(&self) -> u32 {
+        (**self).horizon()
+    }
 }
 
 /// Default PLL/BFS crossover: graphs with at most this many nodes get a
-/// full pruned-landmark-labeling index ([`HybridOracle::default_for`]).
-/// Exported so other layers (the snapshot writer, the snapshot loader)
-/// can make the *same* decision and keep answers bit-identical between a
-/// freshly built context and a snapshot-loaded one.
+/// full pruned-landmark-labeling index (see [`wants_pll`]).
 pub const PLL_NODE_LIMIT: usize = 50_000;
+
+/// Horizon of the bounded-BFS oracle that serves graphs past the
+/// crossover: the paper's default global edge bound `b_m`.
+pub const BFS_HORIZON: u32 = 4;
+
+/// The one oracle-tier decision: should a graph of `node_count` nodes be
+/// served by a PLL index (exact at any distance) rather than a bounded BFS
+/// at [`BFS_HORIZON`]? Every layer that builds or persists an oracle asks
+/// this, so a fresh context, a snapshot-loaded one and a live store all
+/// pick the same tier for the same graph.
+pub fn wants_pll(node_count: usize) -> bool {
+    node_count <= PLL_NODE_LIMIT
+}
 
 /// Chooses an index implementation appropriate for the graph size.
 ///
 /// Pruned landmark labeling answers in microseconds but costs superlinear
-/// build time; a memoized bounded BFS costs nothing up front. Graphs above
-/// the crossover (50k nodes) fall back to BFS, mirroring how the paper
+/// build time; a memoized bounded BFS costs nothing up front. Graphs past
+/// the crossover ([`wants_pll`]) fall back to BFS, mirroring how the paper
 /// treats the index as a pluggable black box. Below it, construction is far
 /// from free: `build_with` on `dbpedia_like(·, 7)` on a 2-CPU host takes
 /// about 0.4 s for 1.0M label entries at 4k nodes, 3.7 s for 4.6M at 10k,
@@ -89,13 +116,12 @@ pub enum HybridOracle {
 }
 
 impl HybridOracle {
-    /// Builds PLL for graphs up to `pll_node_limit` nodes, otherwise a
-    /// bounded-BFS oracle with the given `horizon`. PLL construction uses
-    /// the rank-windowed parallel build ([`crate::pll::PllIndex::build_with`]
-    /// with auto thread count); the resulting labels are deterministic and
-    /// the answered distances identical to a sequential build.
-    pub fn auto(graph: &Arc<Graph>, horizon: u32, pll_node_limit: usize) -> Self {
-        if graph.node_count() <= pll_node_limit {
+    /// Builds PLL when [`wants_pll`] says so, otherwise a bounded-BFS
+    /// oracle with the given `horizon`. PLL construction uses the
+    /// rank-windowed parallel build ([`crate::pll::PllIndex::build_with`]
+    /// with auto thread count); the labels are thread-count-invariant.
+    pub fn default_for(graph: &Arc<Graph>, horizon: u32) -> Self {
+        if wants_pll(graph.node_count()) {
             HybridOracle::Pll(crate::pll::PllIndex::build_with(graph, 0))
         } else {
             HybridOracle::Bfs(crate::bfs::BoundedBfsOracle::new(
@@ -103,11 +129,6 @@ impl HybridOracle {
                 horizon,
             ))
         }
-    }
-
-    /// Default policy: PLL up to [`PLL_NODE_LIMIT`] nodes.
-    pub fn default_for(graph: &Arc<Graph>, horizon: u32) -> Self {
-        Self::auto(graph, horizon, PLL_NODE_LIMIT)
     }
 
     /// True if backed by the PLL index.
@@ -129,6 +150,12 @@ impl DistanceOracle for HybridOracle {
             HybridOracle::Bfs(b) => b.dist_batch(pairs, bound),
         }
     }
+    fn horizon(&self) -> u32 {
+        match self {
+            HybridOracle::Pll(p) => p.horizon(),
+            HybridOracle::Bfs(b) => b.horizon(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -148,18 +175,24 @@ mod tests {
     #[test]
     fn hybrid_picks_pll_for_small() {
         let g = line(10);
-        let o = HybridOracle::auto(&g, 4, 100);
+        let o = HybridOracle::default_for(&g, 4);
         assert!(o.is_pll());
         assert_eq!(o.distance_within(NodeId(0), NodeId(3), 4), Some(3));
+        assert_eq!(o.horizon(), u32::MAX);
     }
 
     #[test]
-    fn hybrid_picks_bfs_for_large() {
+    fn policy_crossover_and_horizons() {
+        assert!(wants_pll(PLL_NODE_LIMIT));
+        assert!(!wants_pll(PLL_NODE_LIMIT + 1));
         let g = line(10);
-        let o = HybridOracle::auto(&g, 4, 5);
-        assert!(!o.is_pll());
-        assert_eq!(o.distance_within(NodeId(0), NodeId(3), 4), Some(3));
-        assert!(!o.within(NodeId(0), NodeId(3), 2));
+        let bfs = HybridOracle::Bfs(crate::bfs::BoundedBfsOracle::new(g, BFS_HORIZON));
+        assert_eq!(bfs.distance_within(NodeId(0), NodeId(3), 4), Some(3));
+        assert!(!bfs.within(NodeId(0), NodeId(3), 2));
+        // Wrappers report the horizon of the oracle they hold.
+        let shared: Arc<dyn DistanceOracle> = Arc::new(bfs);
+        assert_eq!(shared.horizon(), BFS_HORIZON);
+        assert_eq!((&shared).horizon(), BFS_HORIZON);
     }
 
     #[test]
@@ -176,7 +209,7 @@ mod tests {
         // after the original graph handle is gone.
         let shared: Arc<dyn DistanceOracle> = {
             let g = line(6);
-            Arc::new(HybridOracle::auto(&g, 4, 3))
+            Arc::new(HybridOracle::default_for(&g, 4))
         };
         assert_eq!(shared.distance_within(NodeId(0), NodeId(2), 4), Some(2));
         let handle = std::thread::spawn(move || shared.within(NodeId(0), NodeId(1), 1));

@@ -2,8 +2,8 @@
 //!
 //! A [`FaultPlan`] is a deterministic schedule of infrastructure faults —
 //! which *call numbers* at which [`FaultSite`]s misbehave — derived from a
-//! single seed by the same splitmix64 construction the data generator and
-//! `FaultOracle` use. Like the [`governor`](crate::governor) and the
+//! single seed by the same splitmix64 construction the data generator
+//! uses. Like the [`governor`](crate::governor) and the
 //! [`profiler`](crate::obs), the plan lives in `wqe-pool` (the bottom of
 //! the crate graph) so every layer above — the snapshot store, the
 //! distance oracles, the matcher caches, the serving queue — can consult
@@ -68,9 +68,11 @@ pub enum FaultSite {
     /// fired fault makes the primary oracle call fail, exercising the
     /// retry → circuit-breaker → exact-fallback ladder.
     Oracle = 2,
-    /// `WorkerPool` items: a fired fault panics inside the pool's per-item
+    /// `WorkerPool` items of the fallible runs (`try_map`, `try_map_init`,
+    /// `map_governed`): a fired fault panics inside the pool's per-item
     /// `catch_unwind`, surfacing as `PoolError::Panicked` → a typed
-    /// `WqeError::WorkerPanicked`.
+    /// `WqeError::WorkerPanicked`. The infallible `map`/`map_init` (PLL
+    /// construction, matcher fan-out) never fire it.
     PoolWorker = 3,
     /// `JobQueue::push`: a fired fault rejects the push as if the queue
     /// were full (typed admission-control rejection).
@@ -129,7 +131,7 @@ impl std::fmt::Display for FaultSite {
 }
 
 /// The splitmix64 mixing function — the same constants the data generator
-/// and `FaultOracle` use, re-exported so every fault consumer shares one
+/// uses, re-exported so every fault consumer shares one
 /// schedule construction.
 pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
@@ -253,8 +255,8 @@ impl FaultPlan {
         if !word.is_multiple_of(s.period) {
             return None;
         }
-        // Budget check mirrors FaultOracle: a decrement past zero is
-        // restored so the counter stays sane under races.
+        // Budget check: a decrement past zero is restored so the counter
+        // stays sane under races.
         if s.remaining.load(Ordering::Relaxed) <= 0 {
             return None;
         }

@@ -156,8 +156,8 @@ impl WorkerPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize, &T) -> R + Sync,
     {
-        match self.try_map_init(items, init, f) {
-            Ok(out) => out,
+        match self.run_core(items, init, f, None, false) {
+            Ok((slots, _)) => completed(slots),
             Err(PoolError::Panicked { item, message }) => {
                 panic!("worker panicked on item {item}: {message}")
             }
@@ -191,11 +191,8 @@ impl WorkerPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize, &T) -> R + Sync,
     {
-        let (slots, _halted) = self.run_core(items, init, f, None)?;
-        Ok(slots
-            .into_iter()
-            .map(|r| r.expect("ungoverned runs complete every item"))
-            .collect())
+        let (slots, _halted) = self.run_core(items, init, f, None, true)?;
+        Ok(completed(slots))
     }
 
     /// Governed map: like [`try_map`](WorkerPool::try_map), but polls
@@ -219,7 +216,7 @@ impl WorkerPool {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        self.run_core(items, || (), |_, i, item| f(i, item), Some(gov))
+        self.run_core(items, || (), |_, i, item| f(i, item), Some(gov), true)
     }
 
     /// The shared engine behind every map variant.
@@ -230,13 +227,18 @@ impl WorkerPool {
     /// * when `gov` is `Some`, polls `halt()` before each pull and records
     ///   the first observed termination;
     /// * propagates the caller's thread-local governor (or the explicit
-    ///   `gov`) into worker threads.
+    ///   `gov`) into worker threads;
+    /// * when `faults` is set, fires the [`fault::FaultSite::PoolWorker`]
+    ///   site per item. Only the variants that return a typed
+    ///   [`PoolError`] set it: `map`/`map_init` have no error to return,
+    ///   so an injected fault there could only crash their caller.
     fn run_core<T, R, S, I, F>(
         &self,
         items: &[T],
         init: I,
         f: F,
         gov: Option<&Arc<Governor>>,
+        faults: bool,
     ) -> Result<(Vec<Option<R>>, Option<Termination>), PoolError>
     where
         T: Sync,
@@ -265,7 +267,9 @@ impl WorkerPool {
                     }
                 }
                 match catch_unwind(AssertUnwindSafe(|| {
-                    fault_pool_item(i);
+                    if faults {
+                        fault_pool_item(i);
+                    }
                     f(&mut state, i, item)
                 })) {
                     Ok(r) => slots[i] = Some(r),
@@ -332,7 +336,9 @@ impl WorkerPool {
                                 break;
                             }
                             match catch_unwind(AssertUnwindSafe(|| {
-                                fault_pool_item(i);
+                                if faults {
+                                    fault_pool_item(i);
+                                }
                                 f(&mut state, i, &items[i])
                             })) {
                                 Ok(r) => out.push((i, r)),
@@ -384,6 +390,14 @@ impl WorkerPool {
         note_pool_run(&slots);
         Ok((slots, halted))
     }
+}
+
+/// The results of a run no governor stopped: every slot is filled.
+fn completed<R>(slots: Vec<Option<R>>) -> Vec<R> {
+    slots
+        .into_iter()
+        .map(|r| r.expect("ungoverned runs complete every item"))
+        .collect()
 }
 
 /// The pool-worker fault-injection site: panics inside the per-item
@@ -625,6 +639,22 @@ mod tests {
         let s = p.snapshot();
         assert_eq!(s.counter(obs::Counter::PoolRun), 2);
         assert_eq!(s.counter(obs::Counter::PoolTask), 128);
+    }
+
+    #[test]
+    fn pool_worker_faults_fire_only_on_typed_paths() {
+        // Every call of every site faults; the infallible maps have no
+        // error to surface one through, so they never fire.
+        let _plan = fault::enter(Arc::new(fault::FaultPlan::all_sites(42, 1)));
+        let items: Vec<usize> = (0..16).collect();
+        for threads in [1, 4] {
+            let pool = WorkerPool::new(threads);
+            let out = pool.map_init(&items, || 1, |one, _, &x| x + *one);
+            assert_eq!(out, (1..=16).collect::<Vec<_>>(), "threads={threads}");
+            let err = pool.try_map(&items, |_, &x| x).unwrap_err();
+            let PoolError::Panicked { message, .. } = err;
+            assert!(message.contains("injected pool-worker fault"), "{message}");
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use format::{SectionId, FORMAT_VERSION, MAGIC};
 pub use mmap::MappedFile;
 pub use read::{SectionInfo, Snapshot, SnapshotMeta, SnapshotOracle};
 pub use stream::SnapshotWriter;
-pub use write::{build_and_write_snapshot, wants_pll, write_snapshot};
+pub use write::{build_and_write_snapshot, write_snapshot};
 
 #[cfg(test)]
 mod tests {
@@ -160,35 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn version1_interleaved_pll_still_loads() {
-        // A genuine version-1 file (interleaved PLL pair sections) must
-        // keep opening: graph decodes, load_pll deinterleaves to the same
-        // answers, and the zero-copy view is (correctly) unavailable.
-        let g = sample_graph();
-        let pll = PllIndex::build_with(&g, 0);
-        let path = temp_snap("v1compat");
-        crate::write::write_snapshot_versioned(&path, &g, Some(&pll), 1).unwrap();
-
-        let snap = Snapshot::open(&path).unwrap();
-        assert_eq!(snap.format_version(), 1);
-        assert!(snap.meta().has_pll());
-        let names: Vec<&str> = snap.section_infos().iter().map(|i| i.name).collect();
-        assert!(names.contains(&"pll_out_entries"));
-        assert!(!names.contains(&"pll_out_ranks"));
-        graphs_equal(&g, &snap.load_graph().unwrap());
-
-        assert!(snap.pll_slices().unwrap().is_none());
-        let pll2 = snap.load_pll().unwrap().unwrap();
-        for u in g.node_ids() {
-            for v in g.node_ids() {
-                assert_eq!(pll2.distance(u, v), pll.distance(u, v));
-            }
-        }
-        assert!(SnapshotOracle::new(Arc::new(snap)).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn snapshot_bytes_are_deterministic() {
         let g = sample_graph();
         let pll = PllIndex::build_with(&g, 0);
@@ -235,20 +206,25 @@ mod tests {
     }
 
     #[test]
-    fn future_version_rejected() {
+    fn unsupported_versions_rejected() {
+        // Future versions, and version 1 (interleaved PLL label pairs,
+        // retired): both are rebuilt with `wqe-cli index build`.
         let g = sample_graph();
+        let pll = PllIndex::build_with(&g, 0);
         let path = temp_snap("version");
-        write_snapshot(&path, &g, None).unwrap();
+        write_snapshot(&path, &g, Some(&pll)).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            Snapshot::open(&path),
-            Err(LoadError::UnsupportedVersion {
-                found: 99,
-                supported: FORMAT_VERSION
-            })
-        ));
+        for found in [99u32, 1, 0] {
+            bytes[8..12].copy_from_slice(&found.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            match Snapshot::open(&path) {
+                Err(LoadError::UnsupportedVersion {
+                    found: f,
+                    supported: FORMAT_VERSION,
+                }) => assert_eq!(f, found),
+                other => panic!("version {found}: {other:?}"),
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -415,7 +391,7 @@ mod tests {
             assert!(names.contains(&id.name()), "missing {}", id.name());
         }
         // sample_graph is under the PLL limit, so the policy writes labels.
-        assert!(wants_pll(&g));
+        assert!(wqe_index::wants_pll(g.node_count()));
         for id in SectionId::PLL {
             assert!(names.contains(&id.name()), "missing {}", id.name());
         }

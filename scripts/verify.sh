@@ -16,6 +16,12 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+# The benchmark (perfbench/) is a separate workspace that compiles against
+# the public API of this one; neither build above would notice a deletion
+# that breaks it.
+echo "==> benchmark: cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # Parallelism must never change answers: run the determinism suite both
 # single-threaded (serializes any latent race into a reproducible order)
 # and with the default test threading.

@@ -796,7 +796,7 @@ fn cmd_index_build(args: &[String]) -> i32 {
             g.node_count(),
             g.edge_count(),
             human_bytes(bytes),
-            if wqe::store::wants_pll(&g) {
+            if wqe::index::wants_pll(g.node_count()) {
                 "with PLL index"
             } else {
                 "no PLL (past crossover); bounded BFS at load"
@@ -895,18 +895,30 @@ fn human_bytes(n: u64) -> String {
 }
 
 fn cmd_demo() -> i32 {
+    use wqe::core::{QueryRequest, QueryService, ServiceConfig};
     let g = Arc::new(wqe::graph::product::product_graph().graph);
-    let ctx = EngineCtx::with_default_oracle(Arc::clone(&g));
-    let engine = WqeEngine::new(
-        ctx,
-        wqe::core::paper::paper_question(&g),
-        WqeConfig {
-            budget: 4.0,
+    // Served like any request, so under a fault plan (`WQE_FAULT_SEED`)
+    // the service's retry ladder absorbs injected worker panics: a lost
+    // run is rebuilt and re-run, and the answer is bit-identical.
+    let service = QueryService::new(
+        EngineCtx::with_default_oracle(Arc::clone(&g)),
+        ServiceConfig {
+            max_inflight: 1,
+            base_config: WqeConfig {
+                budget: 4.0,
+                ..Default::default()
+            },
+            max_retries: Some(8),
             ..Default::default()
         },
     );
-    let report = engine.run(Algorithm::AnsW);
-    let best = report.best.expect("demo always solves");
+    let question = wqe::core::paper::paper_question(&g);
+    let response = service.call(QueryRequest::new(question, Algorithm::AnsW));
+    let Some(report) = response.report() else {
+        eprintln!("error: demo query did not complete: {:?}", response.status);
+        return 1;
+    };
+    let best = report.best.as_ref().expect("demo always solves");
     println!("demo: the paper's Fig. 1 scenario");
     println!("rewrite (closeness {:.3}):", best.closeness);
     for op in &best.ops {

@@ -10,7 +10,9 @@ use wqe::core::{try_answ, EngineCtx, Session, Termination, WhyQuestion, WqeConfi
 use wqe::datagen::{
     dbpedia_like, generate_query, generate_why, QueryGenConfig, TopologyKind, WhyGenConfig,
 };
-use wqe::index::{DistanceOracle, FaultKind, FaultOracle, HybridOracle, PllIndex};
+use wqe::graph::NodeId;
+use wqe::index::{DistanceOracle, HybridOracle, PllIndex};
+use wqe::pool::fault::{self, FaultPlan, FaultSite};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -74,13 +76,29 @@ fn generated_questions(
     out
 }
 
+/// A test fake: answers like its PLL index, after sleeping `delay` on
+/// every distance call.
+struct SlowOracle {
+    inner: PllIndex,
+    delay: Duration,
+}
+
+impl DistanceOracle for SlowOracle {
+    fn distance_within(&self, u: NodeId, v: NodeId, bound: u32) -> Option<u32> {
+        std::thread::sleep(self.delay);
+        self.inner.distance_within(u, v, bound)
+    }
+}
+
 /// The paper scenario behind a deterministically slow oracle: every
 /// distance call sleeps `delay_ms`, making wall-clock behavior testable
 /// without large graphs.
 fn slow_paper_setup(delay_ms: u64) -> (EngineCtx, WhyQuestion) {
     let graph = Arc::new(wqe::graph::product::product_graph().graph);
-    let inner: Arc<dyn DistanceOracle> = Arc::new(PllIndex::build(&graph));
-    let oracle: Arc<dyn DistanceOracle> = Arc::new(FaultOracle::slow(inner, delay_ms));
+    let oracle = Arc::new(SlowOracle {
+        inner: PllIndex::build(&graph),
+        delay: Duration::from_millis(delay_ms),
+    });
     let wq = wqe::core::paper::paper_question(&graph);
     (EngineCtx::new(graph, oracle), wq)
 }
@@ -290,11 +308,7 @@ fn frontier_cap_is_deterministic_across_parallelism() {
 #[test]
 fn injected_panic_fails_one_session_without_poisoning_siblings() {
     let graph = Arc::new(wqe::graph::product::product_graph().graph);
-    let inner: Arc<dyn DistanceOracle> = Arc::new(PllIndex::build(&graph));
-    // The very first oracle call panics; after that single fault the
-    // wrapper is a pure pass-through.
-    let oracle: Arc<dyn DistanceOracle> =
-        Arc::new(FaultOracle::new(inner, FaultKind::Panic, 0, 1).with_fault_limit(1));
+    let oracle: Arc<dyn DistanceOracle> = Arc::new(PllIndex::build(&graph));
     let ctx = EngineCtx::new(Arc::clone(&graph), oracle);
     let wq = wqe::core::paper::paper_question(&graph);
     let cfg = WqeConfig {
@@ -302,14 +316,20 @@ fn injected_panic_fails_one_session_without_poisoning_siblings() {
         ..Default::default()
     };
 
-    // Session A absorbs the fault: a typed error, not an unwind.
+    // Session A runs under a plan whose first pool item panics, once; it
+    // absorbs the fault: a typed error, not an unwind.
     let a = Session::new(ctx.clone(), &wq, cfg.clone());
+    let plan = FaultPlan::new(0)
+        .arm(FaultSite::PoolWorker, 1)
+        .with_budget(FaultSite::PoolWorker, 1);
+    let scope = fault::enter(Arc::new(plan));
     match try_answ(&a, &wq) {
         Err(WqeError::WorkerPanicked { message, .. }) => {
-            assert!(message.contains("injected oracle fault"), "{message}");
+            assert!(message.contains("injected pool-worker fault"), "{message}");
         }
         other => panic!("expected WorkerPanicked, got {other:?}"),
     }
+    drop(scope);
 
     // Sibling session B shares the same ctx (same matcher cache lineage,
     // same oracle, same graph) and must be completely unaffected — all the

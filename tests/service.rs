@@ -13,7 +13,8 @@ use wqe::core::{
     ShedReason, Termination, WhyQuestion, WqeConfig, WqeEngine,
 };
 use wqe::datagen::{generate_query, generate_why, QueryGenConfig, TopologyKind, WhyGenConfig};
-use wqe::index::{DistanceOracle, FaultOracle, HybridOracle, PllIndex};
+use wqe::graph::NodeId;
+use wqe::index::{DistanceOracle, HybridOracle, PllIndex};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -288,9 +289,15 @@ fn full_queue_rejects_and_the_rest_still_serve() {
 fn per_request_deadline_terminates_with_deadline() {
     // A deterministically slow oracle (2ms per distance call) so a 30ms
     // deadline reliably trips *during* service, never during queueing.
+    struct SlowOracle(PllIndex);
+    impl DistanceOracle for SlowOracle {
+        fn distance_within(&self, u: NodeId, v: NodeId, bound: u32) -> Option<u32> {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            self.0.distance_within(u, v, bound)
+        }
+    }
     let graph = Arc::new(wqe::graph::product::product_graph().graph);
-    let inner: Arc<dyn DistanceOracle> = Arc::new(PllIndex::build(&graph));
-    let oracle: Arc<dyn DistanceOracle> = Arc::new(FaultOracle::slow(inner, 2));
+    let oracle = Arc::new(SlowOracle(PllIndex::build(&graph)));
     let q = wqe::core::paper::paper_question(&graph);
     let ctx = EngineCtx::new(graph, oracle);
     let svc = QueryService::new(
